@@ -235,10 +235,6 @@ mod tests {
         if simd {
             expected.push("radix4_simd");
         }
-        expected.push("split_radix");
-        if simd {
-            expected.push("split_radix_simd");
-        }
         expected.extend(["mcfft", "mixed_radix", "bluestein"]);
         assert_eq!(names, expected);
         assert!(reports.iter().all(EngineReport::within_tolerance));

@@ -68,12 +68,10 @@ use crate::mixed::{factorize, mixed_radix_into, MixedRadixPlan};
 use crate::plan::Split;
 use crate::rader::{is_prime, rader_into, RaderPlan};
 use crate::radix4::{is_power_of_four, radix4_dit_into, Radix4Plan};
-use crate::realfft::RealFft;
 use crate::reference::{
     bit_reverse_permute, dft_naive_into, fft_radix2_dif_f64, fft_radix2_dit_f64, Direction,
 };
-use crate::simd::{self, Radix4SimdEngine, SplitRadixSimdEngine};
-use crate::splitradix::{split_radix_into, SplitRadixPlan};
+use crate::simd::{self, Radix4SimdEngine};
 use afft_num::{Complex, C64};
 
 /// A uniform interface over every FFT backend in the workspace.
@@ -339,51 +337,6 @@ impl FftEngine for Radix4DitEngine {
     }
 }
 
-/// The split-radix FFT as an engine (power-of-two sizes; the lowest
-/// known operation count, plan-time twiddle table).
-#[derive(Debug, Clone)]
-pub struct SplitRadixEngine {
-    plan: SplitRadixPlan,
-}
-
-impl SplitRadixEngine {
-    /// Plans a split-radix FFT of size `n` (a power of two, `>= 2`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::InvalidSize`] otherwise.
-    pub fn new(n: usize) -> Result<Self, FftError> {
-        Ok(SplitRadixEngine { plan: SplitRadixPlan::new(n)? })
-    }
-}
-
-impl FftEngine for SplitRadixEngine {
-    fn name(&self) -> &str {
-        "split_radix"
-    }
-
-    fn len(&self) -> usize {
-        self.plan.len()
-    }
-
-    fn execute_into(
-        &mut self,
-        input: &[C64],
-        output: &mut [C64],
-        dir: Direction,
-    ) -> Result<(), FftError> {
-        split_radix_into(&mut self.plan, input, output, dir)
-    }
-
-    fn traffic(&self) -> Option<MemTraffic> {
-        // The L-shaped recursion touches ~3/4 of the points per radix-2
-        // stage equivalent.
-        let n = self.plan.len();
-        let stages = n.trailing_zeros() as usize;
-        Some(MemTraffic { loads: 3 * n * stages / 4, stores: 3 * n * stages / 4 })
-    }
-}
-
 /// The general mixed-radix FFT as an engine: any `n >= 2` with prime
 /// factors in {2, 3, 5} — the only registry backend that serves
 /// composite OFDM sizes like 60, 1200 and 1536.
@@ -576,130 +529,10 @@ impl FftEngine for McfftEngine {
     }
 }
 
-/// The packed real-input FFT as a full-contract engine.
-///
-/// [`RealFft`] transforms a length-`2N` *real* signal with one
-/// `N`-point complex FFT. To satisfy the registry contract (an
-/// unnormalised DFT of arbitrary *complex* input) this wrapper runs
-/// that path twice — `DFT(x) = DFT(re x) + i DFT(im x)`, each half
-/// expanded by conjugate symmetry — so the planner can rank the
-/// packed-real datapath against the complex backends on the same
-/// calibration signals.
-#[derive(Debug, Clone)]
-pub struct RealFftEngine {
-    rfft: RealFft,
-    // Engine-owned scratch for the allocation-free path: split real
-    // components, unique-bin staging, both expanded spectra, and the
-    // conjugated input of the inverse route.
-    re_scratch: Vec<f64>,
-    im_scratch: Vec<f64>,
-    bins_scratch: Vec<C64>,
-    fr_scratch: Vec<C64>,
-    fi_scratch: Vec<C64>,
-    conj_scratch: Vec<C64>,
-}
-
-impl RealFftEngine {
-    /// Plans a real-FFT-backed engine of size `n` (`n/2` must be a
-    /// supported array-FFT size, i.e. a power of two `>= 64`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::InvalidSize`] otherwise.
-    pub fn new(n: usize) -> Result<Self, FftError> {
-        Ok(RealFftEngine {
-            rfft: RealFft::new(n)?,
-            re_scratch: Vec::new(),
-            im_scratch: Vec::new(),
-            bins_scratch: Vec::new(),
-            fr_scratch: Vec::new(),
-            fi_scratch: Vec::new(),
-            conj_scratch: Vec::new(),
-        })
-    }
-
-    /// `DFT(re x) -> fr_scratch`, `DFT(im x) -> fi_scratch`, each via
-    /// the packed real path and conjugate-symmetric expansion.
-    fn split_real_dfts(&mut self, input: &[C64]) -> Result<(), FftError> {
-        let n = input.len();
-        self.re_scratch.resize(n, 0.0);
-        self.im_scratch.resize(n, 0.0);
-        for (i, c) in input.iter().enumerate() {
-            self.re_scratch[i] = c.re;
-            self.im_scratch[i] = c.im;
-        }
-        self.bins_scratch.resize(n / 2 + 1, Complex::zero());
-        self.fr_scratch.resize(n, Complex::zero());
-        self.fi_scratch.resize(n, Complex::zero());
-        self.rfft.process_into(&self.re_scratch, &mut self.bins_scratch)?;
-        self.rfft.expand_full_into(&self.bins_scratch, &mut self.fr_scratch);
-        self.rfft.process_into(&self.im_scratch, &mut self.bins_scratch)?;
-        self.rfft.expand_full_into(&self.bins_scratch, &mut self.fi_scratch);
-        Ok(())
-    }
-}
-
-impl FftEngine for RealFftEngine {
-    fn name(&self) -> &str {
-        "real_fft"
-    }
-
-    fn len(&self) -> usize {
-        self.rfft.len()
-    }
-
-    fn execute_into(
-        &mut self,
-        input: &[C64],
-        output: &mut [C64],
-        dir: Direction,
-    ) -> Result<(), FftError> {
-        check_io(self.rfft.len(), input, output)?;
-        match dir {
-            // DFT(x) = DFT(re x) + i DFT(im x).
-            Direction::Forward => {
-                self.split_real_dfts(input)?;
-                for (k, slot) in output.iter_mut().enumerate() {
-                    *slot = self.fr_scratch[k] + self.fi_scratch[k].mul_i();
-                }
-                Ok(())
-            }
-            // Unnormalised inverse: conjugate in, forward, conjugate out.
-            Direction::Inverse => {
-                let mut conj = core::mem::take(&mut self.conj_scratch);
-                conj.resize(input.len(), Complex::zero());
-                for (slot, c) in conj.iter_mut().zip(input) {
-                    *slot = c.conj();
-                }
-                let result = self.execute_into(&conj, output, Direction::Forward);
-                self.conj_scratch = conj;
-                result?;
-                for slot in output.iter_mut() {
-                    *slot = slot.conj();
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn traffic(&self) -> Option<MemTraffic> {
-        // Two packed half-size array transforms (2 * (N/2) points each
-        // way apiece) — the O(N) unscrambling stays register-resident.
-        let n = self.len();
-        Some(MemTraffic { loads: 2 * n, stores: 2 * n })
-    }
-
-    fn tolerance(&self) -> f64 {
-        // The conjugate-symmetric post-butterfly adds a twiddle
-        // multiply per bin on top of the inner FFT's roundoff.
-        1e-7
-    }
-}
-
 /// Bluestein's chirp-Z FFT as an engine: **any** `n >= 2` through one
-/// power-of-two cyclic convolution — the registry's universal fallback
-/// that closes the size domain (primes, 5G NR DFT-s-OFDM sizes,
-/// arbitrary user requests).
+/// power-of-two cyclic convolution on the mixed-radix kernel — the
+/// registry's universal fallback that closes the size domain (primes,
+/// 5G NR DFT-s-OFDM sizes, arbitrary user requests).
 #[derive(Debug, Clone)]
 pub struct BluesteinEngine {
     plan: BluesteinPlan,
@@ -741,12 +574,13 @@ impl FftEngine for BluesteinEngine {
     }
 
     fn traffic(&self) -> Option<MemTraffic> {
-        // Two m-point split-radix passes around the pointwise multiply,
-        // plus the O(n + m) chirp/fold passes.
+        // Two m-point mixed-radix passes (one load + store per factor
+        // stage) around the pointwise multiply, plus the O(n + m)
+        // chirp/fold passes.
         let n = self.plan.len();
         let m = self.plan.conv_len();
-        let stages = m.trailing_zeros() as usize;
-        let inner = 2 * (3 * m * stages / 4);
+        let stages = factorize(m).map_or(0, |radices| radices.len());
+        let inner = 2 * m * stages;
         Some(MemTraffic { loads: inner + m + 2 * n, stores: inner + m + 2 * n })
     }
 
@@ -844,9 +678,9 @@ impl EngineRegistry {
     }
 
     /// Whether [`EngineRegistry::standard`] supports size `n`: **every**
-    /// `n >= 2`. Powers of two get the full
-    /// radix-2/radix-4/split-radix/epoch family; composite 5-smooth
-    /// sizes (60, 1200, 1536, ...) get `mixed_radix`; odd primes get
+    /// `n >= 2`. Powers of two get the full radix-2/radix-4/epoch
+    /// family; every 5-smooth size (powers of two and composites like
+    /// 60, 1200, 1536) gets `mixed_radix`; odd primes get
     /// `rader`; and `bluestein` registers for every size, so no
     /// factorisation — however adversarial — falls outside the domain.
     /// Only the degenerate sizes 0 and 1 are rejected.
@@ -859,15 +693,13 @@ impl EngineRegistry {
     /// naive DFT and the universal `bluestein` chirp-Z engine. For
     /// 5-smooth sizes the general `mixed_radix` engine; for odd primes
     /// the `rader` engine. For powers of two additionally both radix-2
-    /// FFTs, `split_radix` and the MCFFT (`radix4_dit` on powers of
-    /// 4); from `n >= 64` (the smallest array-structured size) the
-    /// array FFT and Baas's cached FFT; from `n >= 128` the packed
-    /// real-input FFT (whose inner complex transform is `n/2`).
+    /// FFTs and the MCFFT (`radix4_dit` on powers of 4); from `n >= 64`
+    /// (the smallest array-structured size) the array FFT and Baas's
+    /// cached FFT.
     ///
     /// On hosts with a detected vector unit the SIMD tier registers
-    /// alongside its scalar siblings (from `n >= 16`): `radix4_simd`
-    /// on powers of 4 and `split_radix_simd` on powers of two — unless
-    /// suppressed via `AFFT_NO_SIMD=1` (see
+    /// alongside its scalar sibling (from `n >= 16`): `radix4_simd` on
+    /// powers of 4 — unless suppressed via `AFFT_NO_SIMD=1` (see
     /// [`simd::active_level`]). Because the backend-set hash keys
     /// planner wisdom, suppressing the tier invalidates SIMD-era
     /// wisdom by construction.
@@ -896,10 +728,6 @@ impl EngineRegistry {
                     registry.register(Box::new(Radix4SimdEngine::new(n)?));
                 }
             }
-            registry.register(Box::new(SplitRadixEngine::new(n)?));
-            if simd_tier {
-                registry.register(Box::new(SplitRadixSimdEngine::new(n)?));
-            }
             registry.register(Box::new(McfftEngine::new(n)?));
         }
         if factorize(n).is_some() {
@@ -912,9 +740,6 @@ impl EngineRegistry {
         if Split::for_size(n).is_ok() {
             registry.register(Box::new(ArrayFft::<f64>::new(n)?));
             registry.register(Box::new(CachedFftEngine::new(n)?));
-        }
-        if n.is_power_of_two() && Split::for_size(n / 2).is_ok() {
-            registry.register(Box::new(RealFftEngine::new(n)?));
         }
         Ok(registry)
     }
@@ -1012,10 +837,6 @@ mod tests {
                     names.push("radix4_simd");
                 }
             }
-            names.push("split_radix");
-            if simd_tier {
-                names.push("split_radix_simd");
-            }
             names.push("mcfft");
         }
         if factorize(n).is_some() {
@@ -1028,16 +849,13 @@ mod tests {
         if Split::for_size(n).is_ok() {
             names.extend(["array_fft", "cached_fft"]);
         }
-        if n.is_power_of_two() && Split::for_size(n / 2).is_ok() {
-            names.push("real_fft");
-        }
         names
     }
 
     #[test]
     fn standard_registry_size_gates() {
-        // Powers of two below/above the radix-4, array and real-FFT
-        // thresholds, plus composite 5-smooth sizes (naive reference +
+        // Powers of two below/above the radix-4 and array thresholds,
+        // plus composite 5-smooth sizes (naive reference +
         // mixed_radix only). The SIMD tier appears from n >= 16
         // exactly when the host detects a vector unit.
         for n in [8usize, 16, 32, 64, 128, 256, 1024] {
@@ -1067,15 +885,9 @@ mod tests {
         let expect = simd::active_level().is_simd();
         let r = EngineRegistry::standard(1024).unwrap();
         assert_eq!(r.get("radix4_simd").is_some(), expect);
-        assert_eq!(r.get("split_radix_simd").is_some(), expect);
-        // Non-power-of-4 keeps split_radix_simd only; below the tier
-        // minimum neither registers.
-        let r = EngineRegistry::standard(32).unwrap();
-        assert!(r.get("radix4_simd").is_none());
-        assert_eq!(r.get("split_radix_simd").is_some(), expect);
-        let r = EngineRegistry::standard(8).unwrap();
-        assert!(r.get("radix4_simd").is_none());
-        assert!(r.get("split_radix_simd").is_none());
+        // Non-powers of 4 and sizes below the tier minimum get none.
+        assert!(EngineRegistry::standard(32).unwrap().get("radix4_simd").is_none());
+        assert!(EngineRegistry::standard(8).unwrap().get("radix4_simd").is_none());
     }
 
     #[test]
@@ -1235,22 +1047,5 @@ mod tests {
         assert_eq!(r.len(), before - 1);
         assert!(r.get("radix2_dit").is_none());
         assert!(r.take("radix2_dit").is_none());
-    }
-
-    #[test]
-    fn real_fft_engine_meets_the_complex_contract() {
-        let n = 256;
-        let mut engine = RealFftEngine::new(n).unwrap();
-        let x = random_signal(n, 9);
-        let want = dft_naive(&x, Direction::Forward).unwrap();
-        let peak = want.iter().map(|c| c.abs()).fold(0.0, f64::max);
-        let got = engine.execute(&x, Direction::Forward).unwrap();
-        assert!(max_error(&got, &want) / peak < engine.tolerance());
-        // Inverse via conjugation honours the unnormalised contract.
-        let back = engine.execute(&got, Direction::Inverse).unwrap();
-        let rt: Vec<C64> = back.iter().map(|&v| v * (1.0 / n as f64)).collect();
-        assert!(max_error(&rt, &x) < engine.tolerance() * n as f64);
-        // Below the inner array threshold the wrapper is rejected.
-        assert!(RealFftEngine::new(64).is_err());
     }
 }

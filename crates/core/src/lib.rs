@@ -20,17 +20,20 @@
 //! * [`reference`](mod@reference), [`cached`], [`mcfft`] — the naive DFT, radix-2 FFTs,
 //!   Baas's cached FFT and the variable-epoch MCFFT, used as golden
 //!   references and comparison baselines;
-//! * [`radix4`], [`splitradix`], [`mixed`] — the mixed-radix kernel
-//!   family: radix-4 DIT (power-of-4), split-radix (power-of-two,
-//!   lowest known op count) and the general {2, 3, 4, 5} mixed-radix
-//!   engine that serves composite OFDM sizes (60, 1200, 1536, ...);
+//! * [`radix4`], [`mixed`] — the structured kernel family: radix-4
+//!   DIT for powers of 4, and the general {2, 3, 4, 5} mixed-radix
+//!   engine for every other 5-smooth size — the remaining powers of
+//!   two and the composite OFDM sizes (60, 1200, 1536, ...);
 //! * [`bluestein`], [`rader`] — the convolution-based engines that
 //!   close the size domain: chirp-Z for **any** `n >= 2` and the
 //!   prime-length generator-permutation FFT, so 5G NR DFT-s-OFDM sizes
-//!   and arbitrary user requests plan instead of erroring;
-//! * [`simd`] — the vectorized kernel tier: AVX2/NEON variants of the
-//!   radix-4 and split-radix butterflies over split real/imag planes,
-//!   behind runtime feature dispatch (`AFFT_NO_SIMD=1` to suppress);
+//!   and arbitrary user requests plan instead of erroring; both run
+//!   their inner convolution on the mixed-radix kernel;
+//! * [`realfft`] — the packed real-input FFT (one `N/2`-point array
+//!   transform per real `N`-point signal);
+//! * [`simd`] — the vectorized kernel tier: an AVX2/NEON radix-4
+//!   butterfly over split real/imag planes, behind runtime feature
+//!   dispatch (`AFFT_NO_SIMD=1` to suppress);
 //! * [`engine`] — the [`FftEngine`] trait and [`EngineRegistry`]: every
 //!   backend above behind one polymorphic execute interface (the
 //!   cycle-accurate ISS registers through `afft_asip`).
@@ -78,7 +81,6 @@ pub mod reference;
 pub mod rom;
 pub mod simd;
 pub mod snr;
-pub mod splitradix;
 pub mod stage;
 pub mod window;
 

@@ -20,7 +20,7 @@ use afft_stream::ChannelSpec;
 /// A one-channel server over a fast 64-point forward transform.
 fn transform_server() -> NetServerBuilder {
     let mut builder = NetServer::builder(EngineRegistry::standard).workers(2).queue_depth(32);
-    builder.channel(ChannelSpec::transform(64, "split_radix", Direction::Forward));
+    builder.channel(ChannelSpec::transform(64, "mixed_radix", Direction::Forward));
     builder
 }
 

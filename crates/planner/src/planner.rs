@@ -418,7 +418,7 @@ fn mixed_radix_stage_cost(n: usize) -> f64 {
 }
 
 /// Total op count of one Bluestein chirp-Z transform of size `n`: two
-/// `m`-point split-radix runs (the kernel spectrum is plan-time) around
+/// `m`-point mixed-radix runs (the kernel spectrum is plan-time) around
 /// the pointwise multiply, plus the O(n) chirp passes, with
 /// `m = next_pow2(2n - 1)`. This is 4–8x the cost of a direct kernel
 /// at the same size — the model must price that honestly so
@@ -427,23 +427,20 @@ fn mixed_radix_stage_cost(n: usize) -> f64 {
 fn bluestein_ops(n: usize) -> f64 {
     let m = (2 * n - 1).next_power_of_two();
     let mf = m as f64;
-    let log2m = m.trailing_zeros() as f64;
-    2.0 * 0.67 * mf * log2m + mf + 2.0 * n as f64
+    2.0 * mf * mixed_radix_stage_cost(m) + mf + 2.0 * n as f64
 }
 
 /// Total op count of one Rader prime-length transform: two
 /// `(p-1)`-point inner passes priced by whichever family serves that
-/// length (split-radix on powers of two, mixed-radix on 5-smooth,
-/// Bluestein otherwise — mirroring the engine's own inner dispatch),
-/// plus the generator permutations and the pointwise kernel multiply.
-/// When `p - 1` is smooth this beats Bluestein's `>= 2p - 1` padded
-/// convolution, which is exactly why both engines register at primes.
+/// length (mixed-radix on 5-smooth, Bluestein otherwise — mirroring the
+/// engine's own inner dispatch), plus the generator permutations and
+/// the pointwise kernel multiply. When `p - 1` is smooth this beats
+/// Bluestein's `>= 2p - 1` padded convolution, which is exactly why
+/// both engines register at primes.
 fn rader_ops(p: usize) -> f64 {
     let m = p - 1;
     let mf = m as f64;
-    let inner = if m.is_power_of_two() {
-        0.67 * mf * m.trailing_zeros() as f64
-    } else if afft_core::mixed::factorize(m).is_some() {
+    let inner = if afft_core::mixed::factorize(m).is_some() {
         mf * mixed_radix_stage_cost(m)
     } else {
         bluestein_ops(m)
@@ -474,25 +471,14 @@ fn estimate_rank(engine: &dyn FftEngine) -> EngineRank {
             "dft_naive" => nf * nf,
             "radix2_dit" => nf * log2n,
             "radix2_dif" => 1.1 * nf * log2n, // + bit-reverse pass
-            // The mixed-radix family: split-radix holds the lowest
-            // known power-of-two op count (~4/5 of radix-2 multiplies
-            // with plan-time twiddles beating the per-butterfly
-            // cos/sin of the radix-2 reference); radix-4 saves ~25% of
-            // the complex multiplies over radix-2.
-            "split_radix" => 0.67 * nf * log2n,
+            // Radix-4 saves ~25% of the complex multiplies over
+            // radix-2, with plan-time twiddles beating the
+            // per-butterfly cos/sin of the radix-2 reference.
             "radix4_dit" => 0.75 * nf * log2n,
             // The iterative SIMD engine runs the same op count as its
             // scalar sibling — the win is issue width, modeled by the
             // throughput class below, not a smaller op count.
             "radix4_simd" => 0.75 * nf * log2n,
-            // The recursive SIMD split-radix *measures slower* than its
-            // scalar sibling (ROADMAP item 1 follow-up): per-level call
-            // and split-plane re-layout overhead dominates the vector
-            // combines, so it earns no issue-width discount (excluded
-            // below) and pays an O(N) recursion-overhead term on top of
-            // the scalar op count. Until the iterative restructure
-            // lands, Estimate must price the engine as the loser it is.
-            "split_radix_simd" => 0.67 * nf * log2n + 2.0 * nf,
             // General mixed radix: per-point cost of one stage grows
             // with its radix (hardcoded {2,3,4,5} butterflies).
             "mixed_radix" => nf * mixed_radix_stage_cost(n),
@@ -504,22 +490,14 @@ fn estimate_rank(engine: &dyn FftEngine) -> EngineRank {
             "array_fft" => 1.15 * nf * log2n, // group bookkeeping
             "cached_fft" => 1.2 * nf * log2n,
             "mcfft" => 1.25 * nf * log2n, // per-epoch twiddle passes
-            // The complex contract costs real_fft its packed-real
-            // saving: two half-size packed transforms (re + im) plus
-            // O(N) split/expand/recombine with per-bin twiddles.
-            "real_fft" => 2.2 * nf * log2n,
             _ => nf * log2n,
         };
         // Throughput class: vectorized engines retire ~`lanes` point
         // operations per issue; the 0.75 derate covers the layout
         // passes and narrow recursion levels the wide path can't cover.
         // Memory traffic is not divided — the vector unit does not
-        // widen the memory bus. `split_radix_simd` is carved out: its
-        // recursive walker never sustains wide issue (see its op model
-        // above), and granting it the discount made Estimate pick a
-        // known loser over scalar `split_radix`.
-        let issue_width = if engine.name().ends_with("_simd") && engine.name() != "split_radix_simd"
-        {
+        // widen the memory bus.
+        let issue_width = if engine.name().ends_with("_simd") {
             (afft_core::simd::active_level().lanes() as f64 * 0.75).max(1.0)
         } else {
             1.0
@@ -571,35 +549,6 @@ mod tests {
         // Same op model, wider issue: the iterative SIMD engine must
         // outrank its scalar sibling under Estimate.
         assert!(pos("radix4_simd") < pos("radix4_dit"));
-    }
-
-    #[test]
-    fn estimate_ranks_split_radix_simd_behind_its_scalar_sibling() {
-        if !afft_core::simd::active_level().is_simd() {
-            return;
-        }
-        // `split_radix_simd` measures *slower* than scalar
-        // `split_radix` (recursion overhead dominates the vector
-        // combines — ROADMAP item 1); the op model must never let
-        // Estimate pick the known loser. Pin the ordering across the
-        // practical power-of-two range.
-        let mut planner = Planner::new();
-        for n in [64usize, 256, 1024, 4096] {
-            let plan = planner.plan(n, Strategy::Estimate).unwrap();
-            let pos = |name: &str| {
-                plan.ranking
-                    .iter()
-                    .position(|r| r.name == name)
-                    .unwrap_or_else(|| panic!("{name} missing from estimate ranking at n={n}"))
-            };
-            assert!(
-                pos("split_radix") < pos("split_radix_simd"),
-                "Estimate re-promoted the losing split_radix_simd at n={n}"
-            );
-            // The carve-out must not leak onto the SIMD engine that
-            // genuinely wins.
-            assert!(pos("radix4_simd") < pos("radix4_dit"), "radix4_simd demoted at n={n}");
-        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ fn store_then_load_round_trips_exactly() {
     wisdom.insert(key(256, 1), entry(11, "array_fft"));
     wisdom.insert(
         WisdomKey::new(128, Direction::Inverse, Strategy::Estimate, 7),
-        entry(12, "real_fft"),
+        entry(12, "mixed_radix"),
     );
 
     let path = std::env::temp_dir().join("afft-wisdom-roundtrip-test.txt");
@@ -100,13 +100,13 @@ fn merge_prefers_fresher_measurements() {
     let mut new = Wisdom::new();
     new.insert(key(64, 0), entry(20, "radix2_dit")); // fresher: wins
     new.insert(key(256, 1), entry(40, "cached_fft")); // staler: loses
-    new.insert(key(1024, 2), entry(30, "real_fft")); // novel: added
+    new.insert(key(1024, 2), entry(30, "mixed_radix")); // novel: added
 
     old.merge(&new);
     assert_eq!(old.len(), 3);
     assert_eq!(old.get(&key(64, 0)).unwrap().best(), "radix2_dit");
     assert_eq!(old.get(&key(256, 1)).unwrap().best(), "array_fft");
-    assert_eq!(old.get(&key(1024, 2)).unwrap().best(), "real_fft");
+    assert_eq!(old.get(&key(1024, 2)).unwrap().best(), "mixed_radix");
 
     // Equal stamps: the incoming measurement wins.
     let mut tie = Wisdom::new();

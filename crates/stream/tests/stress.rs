@@ -47,7 +47,7 @@ fn symbol(n: usize, channel: usize, seq: u64) -> Vec<C64> {
 const CHANNELS: [(usize, &str, u64); 4] = [
     (60, "mixed_radix", 48),
     (64, "radix4_dit", 48),
-    (128, "split_radix", 48),
+    (128, "mixed_radix", 48),
     (256, "dft_naive", 8),
 ];
 

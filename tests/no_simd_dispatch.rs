@@ -52,9 +52,9 @@ fn afft_no_simd_suppresses_the_tier_and_changes_the_backend_hash() {
         // SIMD-era rankings cannot be replayed against this registry.
         assert_ne!(baseline_hash, suppressed_hash);
         assert_eq!(
-            suppressed.len() + 2,
+            suppressed.len() + 1,
             baseline.len(),
-            "exactly radix4_simd and split_radix_simd should disappear at n=1024"
+            "exactly radix4_simd should disappear at n=1024"
         );
     } else {
         assert_eq!(baseline_hash, suppressed_hash);

@@ -302,7 +302,9 @@ proptest! {
 /// The any-N guarantee, exhaustively: `supports(n)` is true and the
 /// standard registry builds for **every** `n` in `2..=2048` — no prime,
 /// no rough composite, no adversarial factorisation falls through. The
-/// degenerate sizes 0 and 1 are the only rejections.
+/// degenerate sizes 0 and 1 are the only rejections. Every 5-smooth
+/// `n` — every power of two included — also keeps a structured kernel:
+/// `mixed_radix` is registered for it.
 #[test]
 fn every_size_up_to_2048_is_supported_and_plans() {
     assert!(!EngineRegistry::supports(0));
@@ -317,5 +319,12 @@ fn every_size_up_to_2048_is_supported_and_plans() {
         // chirp-Z fallback; nothing is ever near-empty.
         assert!(registry.get("dft_naive").is_some(), "n={n}");
         assert!(registry.get("bluestein").is_some(), "n={n}");
+        let rough = [2usize, 3, 5].iter().fold(n, |mut rest, &p| {
+            while rest.is_multiple_of(p) {
+                rest /= p;
+            }
+            rest
+        });
+        assert_eq!(registry.get("mixed_radix").is_some(), rough == 1, "mixed_radix at n={n}");
     }
 }

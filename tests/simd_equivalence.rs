@@ -1,7 +1,7 @@
 //! Satellite: the SIMD tier is a pure throughput change. Every `*_simd`
 //! engine the registry registers must match its scalar sibling —
-//! `radix4_simd` vs `radix4_dit`, `split_radix_simd` vs `split_radix` —
-//! across registry sizes and both directions, far inside the engines'
+//! `radix4_simd` vs `radix4_dit` — across registry sizes and both
+//! directions, far inside the engines'
 //! declared tolerance. On hosts without a vector unit the registry
 //! carries no `*_simd` engines and the sibling sweep is vacuous; the
 //! presence test pins that the tier appears exactly when detection says
@@ -18,7 +18,6 @@ use rand::{Rng, SeedableRng};
 fn scalar_sibling(simd_name: &str) -> &'static str {
     match simd_name {
         "radix4_simd" => "radix4_dit",
-        "split_radix_simd" => "split_radix",
         other => panic!("no scalar sibling mapped for {other}"),
     }
 }
@@ -39,9 +38,11 @@ fn every_simd_engine_matches_its_scalar_sibling() {
             .map(|name| name.to_string())
             .collect();
         if simd::active_level().is_simd() {
-            assert!(
-                simd_names.contains(&"split_radix_simd".to_string()),
-                "SIMD detected but split_radix_simd missing at n={n}"
+            // The radix-4 tier covers exactly the powers of 4.
+            assert_eq!(
+                simd_names.contains(&"radix4_simd".to_string()),
+                n.trailing_zeros() % 2 == 0,
+                "SIMD detected but radix4_simd registration wrong at n={n}"
             );
         } else {
             assert!(simd_names.is_empty(), "no SIMD detected but {simd_names:?} at n={n}");
