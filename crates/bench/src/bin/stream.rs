@@ -1,14 +1,14 @@
 //! Experiment E11 — sustained streaming throughput: the persistent
-//! [`StreamPipeline`] worker pool versus the two execution shapes the
-//! workspace already had, on a continuous symbol stream:
+//! [`StreamPipeline`] worker pool versus two baseline execution shapes,
+//! on a continuous symbol stream:
 //!
-//! * `sequential` — one planned engine,
-//!   [`BatchExecutor::execute_into`](afft_planner::BatchExecutor::execute_into)
+//! * `sequential` — one planned engine looping
+//!   [`execute_into`](afft_core::engine::FftEngine::execute_into)
 //!   over the whole stream on the calling thread;
-//! * `threaded/call` — per-call scoped threads:
-//!   [`BatchExecutor::execute_threaded_into`](afft_planner::BatchExecutor::execute_threaded_into)
-//!   on each arriving chunk, re-spawning the pool (and re-building one
-//!   registry per worker) every call — the shape PR 2 built for
+//! * `threaded/call` — per-call scoped threads: each arriving chunk is
+//!   sharded over a fresh [`std::thread::scope`] whose workers each
+//!   [`take_engine`] a private engine, re-spawning the pool (and
+//!   re-building one registry per worker) every call — the shape for
 //!   one-shot frames. Sized to the host with `available_parallelism`
 //!   exactly like the pipeline arm, so the comparison prices the
 //!   *shape* (per-call spawns vs a persistent pool), not a thread-count
@@ -49,11 +49,11 @@
 
 use afft_bench::row;
 use afft_bench::workload::qpsk_symbol;
-use afft_core::engine::EngineRegistry;
-use afft_core::Direction;
+use afft_core::engine::{EngineRegistry, FftEngine};
+use afft_core::{Direction, FftError};
 use afft_num::{Complex, C64};
 use afft_obs::json;
-use afft_planner::{Plan, Planner, Strategy};
+use afft_planner::{take_engine, Plan, Planner, Strategy};
 use afft_stream::{ChannelSpec, StreamPipeline, StreamStats};
 use std::time::Instant;
 
@@ -63,7 +63,7 @@ const N: usize = 256;
 const WORKERS: usize = 4;
 /// Channels (and forced workers) in the multi-worker contention arm.
 const MC_CHANNELS: usize = 4;
-/// Symbols per `execute_threaded_into` call in the per-call arm — the
+/// Symbols per [`threaded_call`] in the per-call arm — the
 /// "frame" a streaming caller would have buffered up before paying for
 /// a scoped-thread spawn. At N = 256 this is ~100 us of math per call,
 /// a realistic latency budget for a symbol stream — and far too little
@@ -77,6 +77,50 @@ const CHUNK: usize = 32;
 /// ratio on small hosts; now the two arms differ only in *shape*.
 fn pool_workers() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(WORKERS)
+}
+
+/// Transforms `input` forward, symbol by symbol, into `out` on one
+/// engine — the sequential arm, and each per-call worker's shard.
+fn execute_all(
+    engine: &mut dyn FftEngine,
+    input: &[Vec<C64>],
+    out: &mut [Vec<C64>],
+) -> Result<(), FftError> {
+    for (symbol, slot) in input.iter().zip(out) {
+        engine.execute_into(symbol, slot, Direction::Forward)?;
+    }
+    Ok(())
+}
+
+/// One call of the per-call arm: `chunk_in` sharded contiguously over
+/// `workers` scoped threads, each taking a private `name` engine from
+/// the registry and writing straight into its shard of `chunk_out`.
+/// With one worker the chunk runs on the caller's `engine` instead.
+fn threaded_call(
+    engine: &mut dyn FftEngine,
+    name: &str,
+    chunk_in: &[Vec<C64>],
+    chunk_out: &mut [Vec<C64>],
+    workers: usize,
+) -> Result<(), FftError> {
+    let workers = workers.min(chunk_in.len());
+    if workers <= 1 {
+        return execute_all(engine, chunk_in, chunk_out);
+    }
+    let shard = chunk_in.len().div_ceil(workers);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = chunk_in
+            .chunks(shard)
+            .zip(chunk_out.chunks_mut(shard))
+            .map(|(shard_in, shard_out)| {
+                scope.spawn(move || {
+                    let mut engine = take_engine(EngineRegistry::standard, N, name)?;
+                    execute_all(engine.as_mut(), shard_in, shard_out)
+                })
+            })
+            .collect();
+        handles.into_iter().try_for_each(|h| h.join().expect("per-call worker panicked"))
+    })
 }
 
 /// One stream arm: a pipeline built with metrics explicitly on or off,
@@ -283,25 +327,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let stream_in: Vec<Vec<C64>> = (0..symbols).map(|s| qpsk_symbol(N, s as u64)).collect();
 
-    // Reference spectra + the sequential arm share one executor.
-    let mut executor = planner.executor(&plan)?;
-    let mut reference = executor.alloc_output(symbols);
+    // Reference spectra + the sequential arm share one engine.
+    let mut seq_engine = planner.engine(&plan)?;
+    let mut reference = vec![vec![Complex::zero(); N]; symbols];
     let mut seq_tps = 0.0f64;
     for _ in 0..reps {
         let start = Instant::now();
-        executor.execute_into(&stream_in, &mut reference, Direction::Forward)?;
+        execute_all(seq_engine.as_mut(), &stream_in, &mut reference)?;
         seq_tps = seq_tps.max(symbols as f64 / start.elapsed().as_secs_f64());
     }
 
     // Per-call scoped threads: every CHUNK symbols pays thread spawns
     // plus one registry construction per worker — the cost a persistent
     // pool exists to amortise.
-    let mut chunk_out = executor.alloc_output(symbols);
+    let mut chunk_out = vec![vec![Complex::zero(); N]; symbols];
     let mut call_tps = 0.0f64;
     for _ in 0..reps {
         let start = Instant::now();
-        for (shard_in, shard_out) in stream_in.chunks(CHUNK).zip(chunk_out.chunks_mut(CHUNK)) {
-            executor.execute_threaded_into(shard_in, shard_out, Direction::Forward, pool)?;
+        for (chunk_in, out) in stream_in.chunks(CHUNK).zip(chunk_out.chunks_mut(CHUNK)) {
+            threaded_call(seq_engine.as_mut(), &engine, chunk_in, out, pool)?;
         }
         call_tps = call_tps.max(symbols as f64 / start.elapsed().as_secs_f64());
     }

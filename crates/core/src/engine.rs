@@ -32,12 +32,12 @@
 //! the borrow checker), and on error the output buffer's contents are
 //! unspecified.
 //!
-//! This contract is what the upper layers build on: the planner's
-//! batch executor and the streaming pipeline's long-lived workers each
-//! own one engine instance (and therefore one scratch set) per thread
-//! — [`FftEngine`] deliberately carries no `Sync` bound — and drive it
-//! through `execute_into` so steady-state throughput work never
-//! touches the allocator.
+//! This contract is what the upper layers build on: a planned engine
+//! looped on one thread and the streaming pipeline's long-lived workers
+//! each own one engine instance (and therefore one scratch set) per
+//! thread — [`FftEngine`] deliberately carries no `Sync` bound — and
+//! drive it through `execute_into` so steady-state throughput work
+//! never touches the allocator.
 //!
 //! # Examples
 //!
@@ -783,7 +783,7 @@ impl EngineRegistry {
 
     /// Removes an engine by name and returns it owned — how a planner
     /// hands the winning backend to long-lived consumers (an OFDM
-    /// modem, a batch executor) without re-planning.
+    /// modem, a stream-pipeline worker) without re-planning.
     pub fn take(&mut self, name: &str) -> Option<Box<dyn FftEngine>> {
         let idx = self.engines.iter().position(|e| e.name() == name)?;
         Some(self.engines.remove(idx))

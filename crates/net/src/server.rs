@@ -74,7 +74,6 @@ pub struct NetServerBuilder {
     specs: Vec<ChannelSpec>,
     workers: usize,
     queue_depth: usize,
-    observability: Option<bool>,
     retry_after_ms: u32,
     max_conn_outstanding: u64,
 }
@@ -94,14 +93,6 @@ impl NetServerBuilder {
     #[must_use]
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth.max(1);
-        self
-    }
-
-    /// Explicitly enables or disables pipeline metrics (surfaced on the
-    /// admin stats endpoint); the default follows `AFFT_OBS`.
-    #[must_use]
-    pub fn observability(mut self, on: bool) -> Self {
-        self.observability = Some(on);
         self
     }
 
@@ -141,9 +132,6 @@ impl NetServerBuilder {
         let mut builder = StreamPipeline::builder(self.factory)
             .workers(self.workers)
             .queue_depth(self.queue_depth);
-        if let Some(on) = self.observability {
-            builder = builder.observability(on);
-        }
         let mut channels = Vec::with_capacity(self.specs.len());
         let mut infos = Vec::with_capacity(self.specs.len());
         for (i, spec) in self.specs.iter().enumerate() {
@@ -226,7 +214,6 @@ impl NetServer {
             specs: Vec::new(),
             workers: 4,
             queue_depth: 64,
-            observability: None,
             retry_after_ms: 10,
             max_conn_outstanding: 64,
         }

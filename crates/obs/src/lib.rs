@@ -2,7 +2,7 @@
 //! log-bucketed latency histograms, sharded lock-free recorders, stage
 //! timers, named counters, and table/JSON exporters. In the spirit of
 //! HdrHistogram and `tracing`, rebuilt std-only so the runtime stack
-//! (stream pipeline, planner, batch executor, benches) can measure
+//! (stream pipeline, planner, ISS engine, benches) can measure
 //! itself without pulling a dependency into the hot path.
 //!
 //! Four pieces:

@@ -1,11 +1,11 @@
 //! **afft-planner** — the autotuning layer over the
 //! [`afft_core::engine::EngineRegistry`]: measure (or estimate) every
 //! backend for a transform shape, remember the winner as serializable
-//! *wisdom*, and execute whole batches of symbols through the planned
-//! engine — the FFTW planner/wisdom idiom rebuilt natively on the
-//! workspace's registry.
+//! *wisdom*, and hand out owned instances of the planned engine — the
+//! FFTW planner/wisdom idiom rebuilt natively on the workspace's
+//! registry.
 //!
-//! Three pillars:
+//! Two pillars:
 //!
 //! * [`Planner`] — ranks the registry per `(n, direction)` by
 //!   [`Strategy::Estimate`] (built-in cost heuristics over engine
@@ -15,10 +15,13 @@
 //! * [`Wisdom`] — a plan cache keyed by `(n, direction, strategy,
 //!   backend-set hash)` with a dependency-free line-oriented text
 //!   serialization ([`Wisdom::load`] / [`Wisdom::store`] /
-//!   [`Wisdom::merge`]), so tuning cost is paid once per machine;
-//! * [`BatchExecutor`] — plans once, then runs `&[Vec<C64>]` batches
-//!   through the planned engine, optionally sharded across a
-//!   [`std::thread::scope`] worker pool with bit-identical results.
+//!   [`Wisdom::merge`]), so tuning cost is paid once per machine.
+//!
+//! A plan runs sequentially by looping
+//! [`FftEngine::execute_into`](afft_core::engine::FftEngine::execute_into)
+//! on [`Planner::engine`] (or [`take_engine`]); many-symbol threaded
+//! traffic goes through the `afft_stream` pipeline, whose workers each
+//! [`take_engine`] a private copy of the planned backend.
 //!
 //! # Quickstart
 //!
@@ -37,11 +40,14 @@
 //! let replay = planner.plan(256, Strategy::Estimate)?;
 //! assert!(replay.from_wisdom);
 //!
-//! // Batch execution on the winning engine, optionally threaded.
-//! let mut executor = planner.executor(&plan)?;
+//! // Execute many symbols on the winning engine, one preallocated
+//! // output buffer per symbol.
+//! let mut engine = planner.engine(&plan)?;
 //! let batch = vec![vec![afft_num::Complex::new(1.0, 0.0); 256]; 8];
-//! let spectra = executor.execute_threaded(&batch, afft_core::Direction::Forward, 4)?;
-//! assert_eq!(spectra.len(), 8);
+//! let mut spectra = vec![vec![afft_num::Complex::zero(); 256]; batch.len()];
+//! for (symbol, bins) in batch.iter().zip(spectra.iter_mut()) {
+//!     engine.execute_into(symbol, bins, afft_core::Direction::Forward)?;
+//! }
 //! assert!((spectra[0][0].re - 256.0).abs() < 1e-6);
 //! # Ok::<(), afft_core::FftError>(())
 //! ```
@@ -49,11 +55,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod planner;
 pub mod wisdom;
 
-pub use batch::{BatchExecutor, RunTiming, ShardTiming};
 pub use planner::{
     calibration_signal, take_engine, EngineRank, Plan, Planner, RegistryFactory, Strategy,
 };

@@ -3,10 +3,11 @@
 //! planned [`FftEngine`](afft_core::engine::FftEngine) backends with
 //! zero heap allocation per symbol in steady state.
 //!
-//! The batch layer ([`afft_planner::BatchExecutor`]) spawns scoped
-//! threads *per call* — the right shape for one frame, the wrong shape
-//! for millions of symbols arriving continuously. A [`StreamPipeline`]
-//! is the "plan once, execute forever" counterpart: it is built once
+//! A single planned engine looping
+//! [`execute_into`](afft_core::engine::FftEngine::execute_into) is the
+//! sequential shape; a [`StreamPipeline`] is the workspace's one
+//! threaded many-symbol executor, "plan once, execute forever": it is
+//! built once
 //! from a [`RegistryFactory`](afft_planner::RegistryFactory) and a set
 //! of [`ChannelSpec`]s (typically the winners of wisdom-ranked plans),
 //! spawns `N` long-lived workers that each own a private engine and

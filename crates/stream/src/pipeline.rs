@@ -28,10 +28,9 @@
 //! documents the locking discipline.
 //!
 //! Engines are **never** shared: each worker constructs its own
-//! backend per channel from the registry factory (the same idiom as
-//! [`BatchExecutor::execute_threaded_into`](afft_planner::BatchExecutor::execute_threaded_into)),
-//! then warms its scratch once, so steady-state traffic does zero heap
-//! work per symbol.
+//! backend per channel from the registry factory
+//! ([`take_engine`](afft_planner::take_engine)), then warms its scratch
+//! once, so steady-state traffic does zero heap work per symbol.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -287,16 +286,18 @@ pub struct StreamBuilder {
     workers: usize,
     queue_depth: usize,
     observability: Option<bool>,
-    sample_every: u64,
     stamp: u64,
 }
 
-/// Default stage-timing sample rate: one symbol in 8 per channel. At
-/// sub-microsecond symbol costs the clock reads are the dominant
-/// metrics cost (three ~30 ns reads per symbol would be ~10% of a
-/// 256-point transform), so timing every symbol is priced out of the
-/// default; 1-in-8 keeps thousands of samples per second at streaming
-/// rates for well under 1% overhead.
+/// Stage-timing sample rate: one symbol in 8 per channel — by sequence
+/// number, so sampling is deterministic — gets the full queue-wait /
+/// transform / reorder-park / deliver clock stamps; the rest skip every
+/// clock read. At sub-microsecond symbol costs the clock reads, not the
+/// lock-free histogram writes, are the dominant metrics cost (three
+/// ~30 ns reads per symbol would be ~10% of a 256-point transform), so
+/// timing every symbol is priced out; 1-in-8 keeps thousands of samples
+/// per second at streaming rates for well under 1% overhead, inside the
+/// stream bench's 5% budget.
 pub const DEFAULT_SAMPLE_EVERY: u64 = 8;
 
 /// Resolves the worker-pool size: the `AFFT_STREAM_WORKERS` environment
@@ -329,19 +330,6 @@ impl StreamBuilder {
     #[must_use]
     pub fn observability(mut self, on: bool) -> Self {
         self.observability = Some(on);
-        self
-    }
-
-    /// Sets the stage-timing sample rate: one symbol in `every` (per
-    /// channel, by sequence number, so sampling is deterministic) gets
-    /// the full queue-wait / transform / reorder-park / deliver clock
-    /// stamps. Clamped to at least 1; `1` times every symbol. The
-    /// default is [`DEFAULT_SAMPLE_EVERY`] — clock reads, not the
-    /// lock-free histogram writes, are the dominant metrics cost, and
-    /// sampling is what keeps it under the stream bench's 5% budget.
-    #[must_use]
-    pub fn sample_every(mut self, every: u64) -> Self {
-        self.sample_every = every.max(1);
         self
     }
 
@@ -396,11 +384,7 @@ impl StreamBuilder {
             let series = (0..self.specs.len())
                 .flat_map(|i| Stage::ALL.iter().map(move |stage| format!("ch{i}/{stage}")))
                 .collect();
-            PipelineObs {
-                recorder: Recorder::new(workers + 1, series),
-                caller_shard: workers,
-                sample_every: self.sample_every,
-            }
+            PipelineObs { recorder: Recorder::new(workers + 1, series), caller_shard: workers }
         });
 
         let specs = Arc::new(self.specs);
@@ -474,7 +458,6 @@ impl StreamPipeline {
             workers: 4,
             queue_depth: 64,
             observability: None,
-            sample_every: DEFAULT_SAMPLE_EVERY,
             stamp: NEXT_PIPELINE_STAMP.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -677,7 +660,7 @@ impl StreamPipeline {
             return Err(SubmitError::Closed { input, output });
         }
         let seq = chan.next_seq.fetch_add(1, Ordering::SeqCst);
-        let sampled = self.shared.obs.as_ref().is_some_and(|o| seq.is_multiple_of(o.sample_every));
+        let sampled = self.shared.obs.is_some() && seq.is_multiple_of(DEFAULT_SAMPLE_EVERY);
         let submitted_at = if sampled { Instant::now() } else { self.shared.epoch };
         q.queue.push_back(Job { channel, seq, input, output, submitted_at, sampled });
         q.high_water = q.high_water.max(q.queue.len());
@@ -1127,10 +1110,6 @@ pub(crate) struct PipelineObs {
     /// The shard delivery-path records go to (`pop_delivery` runs under
     /// the delivery lock, so one shard serves every delivering thread).
     pub(crate) caller_shard: usize,
-    /// Stage-timing sample rate: symbols whose per-channel sequence
-    /// number is a multiple of this get clock stamps; the rest skip
-    /// every clock read (see [`StreamBuilder::sample_every`]).
-    pub(crate) sample_every: u64,
 }
 
 #[cfg(test)]
@@ -1398,12 +1377,12 @@ mod tests {
 
     #[test]
     fn observability_histograms_count_every_symbol() {
-        // sample_every(1) stamps every symbol, so counts are exact.
+        // Sampling is by per-channel sequence number, so counts are
+        // exact: seqs 0, 8 and 16 of channel a's 20, seq 0 of b's one.
         let mut builder = StreamPipeline::builder(EngineRegistry::standard)
             .workers(3)
             .queue_depth(8)
-            .observability(true)
-            .sample_every(1);
+            .observability(true);
         let a = builder.channel(ChannelSpec::transform(64, "radix2_dit", Direction::Forward));
         let b = builder.channel(ChannelSpec {
             n: 64,
@@ -1422,11 +1401,11 @@ mod tests {
         let obs = stats.obs.expect("metrics on");
         assert_eq!(obs.per_channel.len(), 2);
         let ch_a = &obs.per_channel[0];
-        // Every delivered symbol shows up in every stage histogram.
-        assert_eq!(ch_a.latency.count(), 20);
-        assert_eq!(ch_a.queue_wait.count(), 20);
-        assert_eq!(ch_a.transform.count(), 20);
-        assert_eq!(ch_a.reorder_park.count(), 20);
+        // Every sampled symbol shows up in every stage histogram.
+        assert_eq!(ch_a.latency.count(), 3);
+        assert_eq!(ch_a.queue_wait.count(), 3);
+        assert_eq!(ch_a.transform.count(), 3);
+        assert_eq!(ch_a.reorder_park.count(), 3);
         assert_eq!(obs.per_channel[1].latency.count(), 1);
         // End-to-end latency dominates its components at the median.
         let p50 = ch_a.latency.p50().unwrap();
@@ -1434,7 +1413,7 @@ mod tests {
         assert!(ch_a.latency.p99().unwrap() >= p50);
         // The named snapshot and JSON exports carry the same series.
         let snap = obs.snapshot();
-        assert_eq!(snap.get("ch0/deliver").unwrap().count(), 20);
+        assert_eq!(snap.get("ch0/deliver").unwrap().count(), 3);
         assert!(obs.to_json().contains("\"channel\":1"));
     }
 

@@ -23,11 +23,9 @@ pub struct ChannelStats {
 /// symbol's life (see [`afft_obs::Stage`]).
 ///
 /// The histograms hold the *sampled* symbols — one in
-/// [`DEFAULT_SAMPLE_EVERY`](crate::DEFAULT_SAMPLE_EVERY) by default,
-/// every symbol under
-/// [`StreamBuilder::sample_every(1)`](crate::StreamBuilder::sample_every)
-/// — and the stage histograms are recorded at different points of a
-/// symbol's life (queue-wait and transform when a worker finishes it,
+/// [`DEFAULT_SAMPLE_EVERY`](crate::DEFAULT_SAMPLE_EVERY) — and the
+/// stage histograms are recorded at different points of a symbol's
+/// life (queue-wait and transform when a worker finishes it,
 /// reorder-park and latency when the caller pops it), so counts can
 /// also differ across stages on a live snapshot.
 #[derive(Debug, Clone, PartialEq)]

@@ -10,8 +10,8 @@
 //! wisdom file when one exists (run the `wimax_scalable` example or
 //! the `planner` bench bin first to warm it), the demodulator runs on
 //! the planned engine via `Ofdm::with_engine`, and the whole frame is
-//! also pushed through the threaded `BatchExecutor` to check the pool
-//! is bit-identical to sequential execution.
+//! also pushed through a 4-worker `StreamPipeline` demodulator channel
+//! to check the pool is bit-identical to sequential execution.
 //!
 //! ```text
 //! cargo run --release --example ofdm_uwb_receiver
@@ -19,9 +19,9 @@
 
 use afft::asip::engine::registry_with_asip;
 use afft::core::ofdm::{qpsk_demap, qpsk_map, Ofdm};
-use afft::core::Direction;
 use afft::num::{Complex, C64};
 use afft::planner::{Planner, Strategy, Wisdom};
+use afft::stream::{ChannelOp, ChannelSpec, StreamPipeline};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -82,16 +82,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // The same frame through the batched executor, threaded, into a
-    // caller-owned preallocated output batch: the pool shards symbols
-    // across workers, each writing straight into its shard, and must
-    // be bit-identical to the per-symbol demodulation above.
-    let mut executor = planner.executor(&plan)?;
-    let batch: Vec<Vec<C64>> = rx_frames.iter().map(|f| f[CP..].to_vec()).collect();
-    let mut threaded = executor.alloc_output(batch.len());
-    executor.execute_threaded_into(&batch, &mut threaded, Direction::Forward, 4)?;
-    assert_eq!(threaded, spectra, "threaded batch must match per-symbol demodulation");
-    println!("batch: {SYMBOLS} symbols on 4 workers, bit-identical to sequential");
+    // The same frame through a 4-worker stream pipeline: a demodulator
+    // channel on the planned engine, every worker owning a private copy,
+    // completions delivered in submission order — and bit-identical to
+    // the per-symbol demodulation above.
+    let mut builder = StreamPipeline::builder(registry_with_asip).workers(4);
+    let ch = builder.channel(ChannelSpec::from_plan(&plan, ChannelOp::Demodulate { cp: CP }));
+    let pipeline = builder.build()?;
+    for frame in &rx_frames {
+        pipeline.submit(ch, frame.clone(), vec![C64::zero(); N]).expect("pipeline accepts");
+    }
+    for bins in &spectra {
+        let done = pipeline.recv(ch).expect("one completion per frame");
+        assert!(done.error.is_none(), "stream demodulation failed: {:?}", done.error);
+        assert_eq!(&done.output, bins, "pipeline must match per-symbol demodulation");
+    }
+    println!(
+        "stream: {SYMBOLS} symbols on {} workers, bit-identical to sequential",
+        pipeline.worker_count()
+    );
+    pipeline.shutdown();
 
     println!();
     println!("demodulated {SYMBOLS} OFDM symbols: {bit_errors}/{total_bits} bit errors");

@@ -18,8 +18,8 @@
 //!   soft-float library, the Imple-1 software FFT) and run drivers;
 //! * [`planner`] ([`afft_planner`]) — the autotuning planner: ranks
 //!   the registry per transform shape (Estimate heuristics or Measure
-//!   calibration), caches winners as serializable wisdom, and batches
-//!   multi-symbol workloads through the planned engine;
+//!   calibration), caches winners as serializable wisdom, and hands
+//!   out owned instances of the planned engine;
 //! * [`stream`] ([`afft_stream`]) — the persistent streaming pipeline:
 //!   a long-lived worker pool over planned engines with bounded
 //!   queues, backpressure, and strict per-channel in-order completion
