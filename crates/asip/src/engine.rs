@@ -173,10 +173,12 @@ impl FftEngine for AsipEngine {
     }
 }
 
-/// [`EngineRegistry::standard`] plus the cycle-accurate ASIP backend
-/// (for sizes the array structure supports; other sizes — composite,
-/// prime, arbitrary — pass through with the software registry only,
-/// since the array structure is power-of-two by construction).
+/// [`EngineRegistry::paper`] plus the cycle-accurate ASIP backend: the
+/// paper's full comparison set, for the conformance suites and the
+/// survey and table bins. The ISS registers for sizes the array
+/// structure supports; other sizes — composite, prime, arbitrary —
+/// pass through with the software registry only, since the array
+/// structure is power-of-two by construction.
 ///
 /// # Errors
 ///
@@ -192,7 +194,7 @@ impl FftEngine for AsipEngine {
 /// # Ok::<(), afft_core::FftError>(())
 /// ```
 pub fn registry_with_asip(n: usize) -> Result<EngineRegistry, FftError> {
-    let mut registry = EngineRegistry::standard(n)?;
+    let mut registry = EngineRegistry::paper(n)?;
     if Split::for_size(n).is_ok() {
         registry.register(Box::new(AsipEngine::new(n)?));
     }

@@ -164,7 +164,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // must balance. Same shape as the crate's loopback tests, but
     // counted into the artifact.
     let mut builder =
-        NetServer::builder(EngineRegistry::standard).workers(1).queue_depth(2).retry_after_ms(5);
+        NetServer::builder(EngineRegistry::paper).workers(1).queue_depth(2).retry_after_ms(5);
     let flood_ch = builder.channel(ChannelSpec::transform(512, "dft_naive", Direction::Forward));
     let flood_server = builder.serve("127.0.0.1:0")?;
     let flood_client = NetClient::connect(flood_server.local_addr()).map_err(|e| e.to_string())?;

@@ -37,9 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if smoke { &[16, 60, 64, 97] } else { &[16, 32, 60, 64, 97, 128, 256, 512, 1024, 1200] };
 
     let path = Wisdom::default_path();
-    let mut planner = Planner::with_factory(registry_with_asip)
-        .with_wisdom(Wisdom::load(&path)?)
-        .with_measure_reps(if smoke { 1 } else { 3 });
+    let mut planner = Planner::with_factory(registry_with_asip).with_wisdom(Wisdom::load(&path)?);
 
     let widths = [12usize, 10, 12, 12, 10, 10];
     for &n in sizes {

@@ -125,7 +125,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One flat record per (engine, n) arm set, for the JSON artifact.
     let mut records: Vec<String> = Vec::new();
     for &n in sizes {
-        let mut registry = EngineRegistry::standard(n)?;
+        let mut registry = EngineRegistry::paper(n)?;
         let names: Vec<String> = registry.names().iter().map(|s| s.to_string()).collect();
         let x = random_signal(n, n as u64);
         println!("== throughput at N = {n} (budget {budget:?} per arm) ==");

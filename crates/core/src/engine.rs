@@ -8,6 +8,13 @@
 //! harness carried per-backend glue; now a harness iterates the
 //! registry and calls [`FftEngine::execute`].
 //!
+//! The engine set is split by role. [`EngineRegistry::standard`] holds
+//! the **serving** engines, the only ones that can win a planner
+//! ranking: the planner, the stream pipeline and the TCP server build
+//! from it. [`EngineRegistry::paper`] adds the O(N²) golden model and
+//! the prior art the paper compares against (radix-2, MCFFT, Baas's
+//! cached FFT), for the conformance suites and the survey bins.
+//!
 //! # Contract
 //!
 //! For a length-`N` engine, the execution **primitive** is
@@ -46,7 +53,7 @@
 //! use afft_core::Direction;
 //! use afft_num::Complex;
 //!
-//! let mut registry = EngineRegistry::standard(64)?;
+//! let mut registry = EngineRegistry::paper(64)?;
 //! assert!(registry.len() >= 5);
 //! let x = vec![Complex::new(1.0, 0.0); 64];
 //! // One reusable output buffer serves every engine: no per-transform
@@ -677,25 +684,23 @@ impl EngineRegistry {
         Self::default()
     }
 
-    /// Whether [`EngineRegistry::standard`] supports size `n`: **every**
-    /// `n >= 2`. Powers of two get the full radix-2/radix-4/epoch
-    /// family; every 5-smooth size (powers of two and composites like
-    /// 60, 1200, 1536) gets `mixed_radix`; odd primes get
-    /// `rader`; and `bluestein` registers for every size, so no
-    /// factorisation — however adversarial — falls outside the domain.
-    /// Only the degenerate sizes 0 and 1 are rejected.
+    /// Whether [`EngineRegistry::standard`] (and so
+    /// [`EngineRegistry::paper`]) supports size `n`: **every** `n >= 2`.
+    /// Powers of 4 get `radix4_dit`; every 5-smooth size (powers of two
+    /// and composites like 60, 1200, 1536) gets `mixed_radix`; odd
+    /// primes get `rader`; and `bluestein` registers for every size, so
+    /// no factorisation — however adversarial — falls outside the
+    /// domain. Only the degenerate sizes 0 and 1 are rejected.
     pub fn supports(n: usize) -> bool {
         n >= 2
     }
 
-    /// Every software backend of this crate that supports size `n`.
-    /// For any supported `n` (see [`EngineRegistry::supports`]): the
-    /// naive DFT and the universal `bluestein` chirp-Z engine. For
-    /// 5-smooth sizes the general `mixed_radix` engine; for odd primes
-    /// the `rader` engine. For powers of two additionally both radix-2
-    /// FFTs and the MCFFT (`radix4_dit` on powers of 4); from `n >= 64`
-    /// (the smallest array-structured size) the array FFT and Baas's
-    /// cached FFT.
+    /// The serving engines for size `n`: the ones a planner ranking
+    /// can pick. `radix4_dit` on powers of 4, `mixed_radix` on 5-smooth
+    /// sizes, `rader` on odd primes, the universal `bluestein` chirp-Z
+    /// engine at every size, and from `n >= 64` (the smallest
+    /// array-structured size) the array FFT. The golden model and the
+    /// prior art live in [`EngineRegistry::paper`].
     ///
     /// On hosts with a detected vector unit the SIMD tier registers
     /// alongside its scalar sibling (from `n >= 16`): `radix4_simd` on
@@ -716,19 +721,12 @@ impl EngineRegistry {
                 factor: None,
             });
         }
-        let simd_tier = simd::active_level().is_simd() && n >= 16;
         let mut registry = EngineRegistry::new();
-        registry.register(Box::new(NaiveDftEngine::new(n)?));
-        if n.is_power_of_two() {
-            registry.register(Box::new(Radix2DitEngine::new(n)?));
-            registry.register(Box::new(Radix2DifEngine::new(n)?));
-            if is_power_of_four(n) {
-                registry.register(Box::new(Radix4DitEngine::new(n)?));
-                if simd_tier {
-                    registry.register(Box::new(Radix4SimdEngine::new(n)?));
-                }
+        if is_power_of_four(n) {
+            registry.register(Box::new(Radix4DitEngine::new(n)?));
+            if simd::active_level().is_simd() && n >= 16 {
+                registry.register(Box::new(Radix4SimdEngine::new(n)?));
             }
-            registry.register(Box::new(McfftEngine::new(n)?));
         }
         if factorize(n).is_some() {
             registry.register(Box::new(MixedRadixEngine::new(n)?));
@@ -739,6 +737,29 @@ impl EngineRegistry {
         registry.register(Box::new(BluesteinEngine::new(n)?));
         if Split::for_size(n).is_ok() {
             registry.register(Box::new(ArrayFft::<f64>::new(n)?));
+        }
+        Ok(registry)
+    }
+
+    /// The paper's comparison set for size `n`: [`EngineRegistry::standard`]
+    /// followed by the golden model and the prior art, none of which
+    /// can win a ranking. The naive DFT at any size; both radix-2 FFTs
+    /// and the MCFFT on powers of two; Baas's cached FFT from
+    /// `n >= 64`. Conformance suites and survey bins enumerate this
+    /// set; serving paths use `standard`.
+    ///
+    /// # Errors
+    ///
+    /// As [`EngineRegistry::standard`].
+    pub fn paper(n: usize) -> Result<Self, FftError> {
+        let mut registry = Self::standard(n)?;
+        registry.register(Box::new(NaiveDftEngine::new(n)?));
+        if n.is_power_of_two() {
+            registry.register(Box::new(Radix2DitEngine::new(n)?));
+            registry.register(Box::new(Radix2DifEngine::new(n)?));
+            registry.register(Box::new(McfftEngine::new(n)?));
+        }
+        if Split::for_size(n).is_ok() {
             registry.register(Box::new(CachedFftEngine::new(n)?));
         }
         Ok(registry)
@@ -824,20 +845,16 @@ mod tests {
         (0..n).map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))).collect()
     }
 
-    /// The expected registration order for size `n`, conditioned on
-    /// the host's active SIMD level the same way `standard` is.
-    fn expected_names(n: usize) -> Vec<&'static str> {
-        let simd_tier = simd::active_level().is_simd() && n >= 16;
-        let mut names = vec!["dft_naive"];
-        if n.is_power_of_two() {
-            names.extend(["radix2_dit", "radix2_dif"]);
-            if is_power_of_four(n) {
-                names.push("radix4_dit");
-                if simd_tier {
-                    names.push("radix4_simd");
-                }
+    /// The expected `standard` registration order for size `n`,
+    /// conditioned on the host's active SIMD level the same way
+    /// `standard` is.
+    fn expected_standard(n: usize) -> Vec<&'static str> {
+        let mut names = vec![];
+        if is_power_of_four(n) {
+            names.push("radix4_dit");
+            if simd::active_level().is_simd() && n >= 16 {
+                names.push("radix4_simd");
             }
-            names.push("mcfft");
         }
         if factorize(n).is_some() {
             names.push("mixed_radix");
@@ -847,34 +864,48 @@ mod tests {
         }
         names.push("bluestein");
         if Split::for_size(n).is_ok() {
-            names.extend(["array_fft", "cached_fft"]);
+            names.push("array_fft");
+        }
+        names
+    }
+
+    /// The expected `paper` registration order: `standard`, then the
+    /// golden model and the prior art.
+    fn expected_paper(n: usize) -> Vec<&'static str> {
+        let mut names = expected_standard(n);
+        names.push("dft_naive");
+        if n.is_power_of_two() {
+            names.extend(["radix2_dit", "radix2_dif", "mcfft"]);
+        }
+        if Split::for_size(n).is_ok() {
+            names.push("cached_fft");
         }
         names
     }
 
     #[test]
     fn standard_registry_size_gates() {
-        // Powers of two below/above the radix-4 and array thresholds,
-        // plus composite 5-smooth sizes (naive reference +
-        // mixed_radix only). The SIMD tier appears from n >= 16
-        // exactly when the host detects a vector unit.
+        // Powers of two below/above the radix-4 and array thresholds.
+        // The SIMD tier appears from n >= 16 exactly when the host
+        // detects a vector unit.
         for n in [8usize, 16, 32, 64, 128, 256, 1024] {
-            let r = EngineRegistry::standard(n).unwrap();
-            assert_eq!(r.names(), expected_names(n), "n={n}");
+            assert_eq!(EngineRegistry::standard(n).unwrap().names(), expected_standard(n), "n={n}");
+            assert_eq!(EngineRegistry::paper(n).unwrap().names(), expected_paper(n), "n={n}");
         }
-        for n in [60usize, 243, 1200, 1536] {
-            let r = EngineRegistry::standard(n).unwrap();
-            assert_eq!(r.names(), ["dft_naive", "mixed_radix", "bluestein"], "n={n}");
-        }
-        // Odd primes add Rader's engine; non-5-smooth composites fall
-        // through to the universal chirp-Z fallback alone.
-        for n in [7usize, 17, 97, 251, 1009] {
-            let r = EngineRegistry::standard(n).unwrap();
-            assert_eq!(r.names(), ["dft_naive", "rader", "bluestein"], "n={n}");
-        }
-        for n in [14usize, 77, 1022, 1344] {
-            let r = EngineRegistry::standard(n).unwrap();
-            assert_eq!(r.names(), ["dft_naive", "bluestein"], "n={n}");
+        // Composite 5-smooth sizes get mixed_radix only; odd primes add
+        // Rader's engine; non-5-smooth composites fall through to the
+        // universal chirp-Z fallback alone. Off the powers of two,
+        // `paper` appends only the naive reference.
+        for (sizes, names) in [
+            (&[60usize, 243, 1200, 1536][..], &["mixed_radix", "bluestein"][..]),
+            (&[7, 17, 97, 251, 1009], &["rader", "bluestein"]),
+            (&[14, 77, 1022, 1344], &["bluestein"]),
+        ] {
+            for &n in sizes {
+                assert_eq!(EngineRegistry::standard(n).unwrap().names(), names, "n={n}");
+                let paper = [names, &["dft_naive"]].concat();
+                assert_eq!(EngineRegistry::paper(n).unwrap().names(), paper, "n={n}");
+            }
         }
         assert!(EngineRegistry::standard(0).is_err());
         assert!(EngineRegistry::standard(1).is_err());
@@ -917,7 +948,7 @@ mod tests {
         // rough composite (bluestein alone): every registered engine
         // must honour its own tolerance against the naive DFT.
         for n in [48usize, 60, 77, 97, 243, 251, 1200] {
-            let mut registry = EngineRegistry::standard(n).unwrap();
+            let mut registry = EngineRegistry::paper(n).unwrap();
             let x = random_signal(n, n as u64);
             for dir in [Direction::Forward, Direction::Inverse] {
                 let want = dft_naive(&x, dir).unwrap();
@@ -934,7 +965,7 @@ mod tests {
     #[test]
     fn all_engines_agree_with_the_naive_dft() {
         for n in [8usize, 64, 256] {
-            let mut registry = EngineRegistry::standard(n).unwrap();
+            let mut registry = EngineRegistry::paper(n).unwrap();
             let x = random_signal(n, n as u64);
             let want = dft_naive(&x, Direction::Forward).unwrap();
             let peak = want.iter().map(|c| c.abs()).fold(0.0, f64::max);
@@ -949,7 +980,7 @@ mod tests {
     #[test]
     fn every_engine_round_trips() {
         let n = 64;
-        let mut registry = EngineRegistry::standard(n).unwrap();
+        let mut registry = EngineRegistry::paper(n).unwrap();
         let x = random_signal(n, 5);
         for engine in registry.engines_mut() {
             let spectrum = engine.execute(&x, Direction::Forward).unwrap();
@@ -966,7 +997,7 @@ mod tests {
     #[test]
     fn execute_into_is_bit_identical_to_execute_and_reuses_the_buffer() {
         for n in [8usize, 128] {
-            let mut registry = EngineRegistry::standard(n).unwrap();
+            let mut registry = EngineRegistry::paper(n).unwrap();
             let x = random_signal(n, 21 + n as u64);
             let y = random_signal(n, 22 + n as u64);
             let mut out = vec![Complex::zero(); n];
@@ -986,7 +1017,7 @@ mod tests {
 
     #[test]
     fn length_mismatch_is_uniformly_reported() {
-        let mut registry = EngineRegistry::standard(64).unwrap();
+        let mut registry = EngineRegistry::paper(64).unwrap();
         let x = random_signal(32, 1);
         let ok = random_signal(64, 2);
         for engine in registry.engines_mut() {
@@ -1014,7 +1045,7 @@ mod tests {
     #[test]
     fn traffic_reporting_matches_the_motivating_counts() {
         let n = 1024usize;
-        let registry = EngineRegistry::standard(n).unwrap();
+        let registry = EngineRegistry::paper(n).unwrap();
         // The paper's Section II motivation: plain FFT moves N log2 N
         // points each way; the epoch structures move 2N each way.
         let plain = registry.get("radix2_dit").unwrap().traffic().unwrap();
@@ -1039,7 +1070,7 @@ mod tests {
 
     #[test]
     fn take_removes_and_returns_the_engine_owned() {
-        let mut r = EngineRegistry::standard(128).unwrap();
+        let mut r = EngineRegistry::paper(128).unwrap();
         let before = r.len();
         let engine = r.take("radix2_dit").expect("registered");
         assert_eq!(engine.name(), "radix2_dit");

@@ -316,7 +316,7 @@ mod tests {
 
     #[test]
     fn planned_engine_backend_demodulates_like_the_default() {
-        let mut registry = crate::engine::EngineRegistry::standard(128).unwrap();
+        let mut registry = crate::engine::EngineRegistry::paper(128).unwrap();
         let mut ofdm = Ofdm::with_engine(registry.take("radix2_dit").unwrap(), 32).unwrap();
         assert_eq!(ofdm.engine().name(), "radix2_dit");
         assert_eq!(format!("{ofdm:?}"), "Ofdm { engine: \"radix2_dit\", n: 128, cp: 32 }");
@@ -325,7 +325,7 @@ mod tests {
         let rx = ofdm.demodulate(&tx).unwrap();
         assert_eq!(qpsk_demap(&rx), bits);
         // CP validation holds for injected engines too.
-        let mut registry = crate::engine::EngineRegistry::standard(128).unwrap();
+        let mut registry = crate::engine::EngineRegistry::paper(128).unwrap();
         assert!(Ofdm::with_engine(registry.take("mcfft").unwrap(), 128).is_err());
     }
 }

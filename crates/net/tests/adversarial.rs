@@ -135,7 +135,7 @@ fn slow_reader_is_shed_at_its_outstanding_cap() {
     // A deliberately slow engine and a 2-frame outstanding cap: a
     // client that fires without reading must see RETRY_AFTER, and
     // every accepted frame must still complete.
-    let mut builder = NetServer::builder(EngineRegistry::standard)
+    let mut builder = NetServer::builder(EngineRegistry::paper)
         .workers(1)
         .queue_depth(32)
         .max_conn_outstanding(2);
@@ -220,7 +220,7 @@ fn concurrent_clients_share_one_pool_without_crosstalk() {
 fn shutdown_with_frames_in_flight_loses_no_accepted_work() {
     // Slow engine, shallow queue: the burst is guaranteed to still be
     // in flight (and partly shed) when shutdown lands.
-    let mut builder = NetServer::builder(EngineRegistry::standard).workers(1).queue_depth(4);
+    let mut builder = NetServer::builder(EngineRegistry::paper).workers(1).queue_depth(4);
     builder.channel(ChannelSpec::transform(512, "dft_naive", Direction::Forward));
     let server = builder.serve("127.0.0.1:0").expect("bind");
 

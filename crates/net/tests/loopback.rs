@@ -132,7 +132,7 @@ fn flood_client_sees_retry_after_and_loses_no_accepted_frame() {
     // One slow worker behind a 2-deep budget: a flood must trip
     // QueueFull, which the server translates to RETRY_AFTER frames.
     let mut builder =
-        NetServer::builder(EngineRegistry::standard).workers(1).queue_depth(2).retry_after_ms(5);
+        NetServer::builder(EngineRegistry::paper).workers(1).queue_depth(2).retry_after_ms(5);
     let ch = builder.channel(ChannelSpec::transform(512, "dft_naive", Direction::Forward));
     let server = builder.serve("127.0.0.1:0").expect("bind");
 

@@ -28,13 +28,13 @@
 //! ```
 //! use afft_planner::{Planner, Strategy};
 //!
-//! // Plan over the standard software registry (pass
-//! // `afft_asip::engine::registry_with_asip` via
-//! // `Planner::with_factory` to let the cycle-accurate ISS compete).
+//! // Plan over the serving engines of the standard registry (pass
+//! // `EngineRegistry::paper` or `afft_asip::engine::registry_with_asip`
+//! // via `Planner::with_factory` to rank the prior art and the
+//! // cycle-accurate ISS too).
 //! let mut planner = Planner::new();
 //! let plan = planner.plan(256, Strategy::Estimate)?;
-//! assert!(plan.ranking.len() >= 6); // every registered engine, ranked
-//! assert_ne!(plan.best().name, "dft_naive"); // O(N^2) never wins
+//! assert!(plan.ranking.len() >= 4); // every registered engine, ranked
 //!
 //! // The plan is remembered: the same request replays from wisdom.
 //! let replay = planner.plan(256, Strategy::Estimate)?;

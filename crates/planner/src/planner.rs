@@ -13,14 +13,20 @@ use afft_obs::{Histogram, Snapshot};
 use crate::wisdom::{backend_set_hash, Wisdom, WisdomEntry, WisdomKey};
 
 /// How a registry for size `n` is built — the planner's only coupling
-/// to the backend set. [`EngineRegistry::standard`] covers the software
-/// models; pass `afft_asip::engine::registry_with_asip` to let the
-/// cycle-accurate ISS compete.
+/// to the backend set. [`EngineRegistry::standard`] holds the serving
+/// engines, the ones a ranking can pick; [`EngineRegistry::paper`] adds
+/// the O(N²) golden model and the prior art, and
+/// `afft_asip::engine::registry_with_asip` adds the cycle-accurate ISS
+/// on top of that, for comparing against the paper.
 pub type RegistryFactory = fn(usize) -> Result<EngineRegistry, FftError>;
 
 /// The simulated ASIP's clock, used to convert modeled cycles into the
 /// nanosecond scale the rankings share.
 pub const ASIP_CLOCK_GHZ: f64 = 0.3;
+
+/// Calibration repetitions [`Strategy::Measure`] times per engine
+/// (best-of, after one untimed warm-up run).
+const MEASURE_REPS: usize = 3;
 
 /// How a [`Planner`] ranks the registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -103,7 +109,6 @@ impl Plan {
 pub struct Planner {
     factory: RegistryFactory,
     wisdom: Wisdom,
-    reps: usize,
     // The factory's backend-set hash per size: a wisdom replay must
     // not pay for building every engine just to key the lookup.
     hash_cache: std::collections::BTreeMap<usize, u64>,
@@ -129,12 +134,12 @@ impl Planner {
     }
 
     /// A planner over a caller-chosen registry factory (e.g.
+    /// [`EngineRegistry::paper`] to rank the prior art too, or
     /// `registry_with_asip`, so the ISS participates in rankings).
     pub fn with_factory(factory: RegistryFactory) -> Self {
         Planner {
             factory,
             wisdom: Wisdom::new(),
-            reps: 3,
             hash_cache: std::collections::BTreeMap::new(),
             obs_enabled: afft_obs::enabled(),
             calibration: std::collections::BTreeMap::new(),
@@ -154,14 +159,6 @@ impl Planner {
     #[must_use]
     pub fn with_wisdom(mut self, wisdom: Wisdom) -> Self {
         self.wisdom = wisdom;
-        self
-    }
-
-    /// Sets how many calibration repetitions [`Strategy::Measure`]
-    /// runs per engine (best-of-`reps`; clamped to at least 1).
-    #[must_use]
-    pub fn with_measure_reps(mut self, reps: usize) -> Self {
-        self.reps = reps.max(1);
         self
     }
 
@@ -249,14 +246,7 @@ impl Planner {
                     // lands in a per-engine histogram instead of being
                     // discarded after the best-of reduction.
                     let mut hist = self.obs_enabled.then(Histogram::new);
-                    let rank = measure_rank(
-                        engine,
-                        &signal,
-                        &mut output,
-                        direction,
-                        self.reps,
-                        &mut hist,
-                    )?;
+                    let rank = measure_rank(engine, &signal, &mut output, direction, &mut hist)?;
                     if let Some(hist) = hist {
                         self.calibration
                             .entry(format!("n{n}/{dir}/{}", rank.name))
@@ -358,14 +348,13 @@ fn measure_rank(
     signal: &[C64],
     output: &mut [C64],
     direction: Direction,
-    reps: usize,
     hist: &mut Option<Histogram>,
 ) -> Result<EngineRank, FftError> {
     // Warm the engine-owned scratch outside the timed region, so the
     // first timed rep doesn't pay one-time buffer growth.
     engine.execute_into(signal, output, direction)?;
     let mut wall_ns = f64::INFINITY;
-    for _ in 0..reps {
+    for _ in 0..MEASURE_REPS {
         let start = Instant::now();
         engine.execute_into(signal, output, direction)?;
         let rep_ns = start.elapsed().as_nanos();
@@ -510,9 +499,9 @@ mod tests {
 
     #[test]
     fn estimate_ranks_every_registry_engine() {
-        let mut planner = Planner::new();
+        let mut planner = Planner::with_factory(EngineRegistry::paper);
         let plan = planner.plan(256, Strategy::Estimate).unwrap();
-        assert_eq!(plan.ranking.len(), EngineRegistry::standard(256).unwrap().len());
+        assert_eq!(plan.ranking.len(), EngineRegistry::paper(256).unwrap().len());
         assert!(!plan.from_wisdom);
         // Scores are sorted ascending and the O(N^2) reference loses.
         for pair in plan.ranking.windows(2) {
@@ -544,7 +533,7 @@ mod tests {
 
     #[test]
     fn measure_ranks_and_caches_into_wisdom() {
-        let mut planner = Planner::new().with_measure_reps(1);
+        let mut planner = Planner::new();
         let plan = planner.plan(64, Strategy::Measure).unwrap();
         assert!(!plan.from_wisdom);
         assert_eq!(plan.ranking.len(), EngineRegistry::standard(64).unwrap().len());
@@ -559,13 +548,14 @@ mod tests {
 
     #[test]
     fn composite_sizes_plan_through_the_same_path() {
-        let mut planner = Planner::new().with_measure_reps(1);
+        let mut planner = Planner::new();
         // Estimate at an LTE-like composite size: the mixed-radix
-        // engine must beat the O(N^2) reference.
+        // engine must win, and beat the O(N^2) reference.
         let plan = planner.plan(1200, Strategy::Estimate).unwrap();
         assert_eq!(plan.ranking.len(), EngineRegistry::standard(1200).unwrap().len());
         assert_eq!(plan.best().name, "mixed_radix");
-        assert_eq!(plan.ranking.last().unwrap().name, "dft_naive");
+        let paper = Planner::with_factory(EngineRegistry::paper).plan(1200, Strategy::Estimate);
+        assert_eq!(paper.unwrap().ranking.last().unwrap().name, "dft_naive");
         // Measure at a small composite size ranks and caches wisdom.
         let measured = planner.plan(60, Strategy::Measure).unwrap();
         assert!(measured.ranking.iter().all(|r| r.wall_ns.is_some()));
@@ -586,7 +576,8 @@ mod tests {
         // Rader cheaper than Bluestein's 256-point padded convolution.
         let plan = planner.plan(97, Strategy::Estimate).unwrap();
         assert_eq!(plan.best().name, "rader");
-        assert_eq!(plan.ranking.last().unwrap().name, "dft_naive");
+        let paper = Planner::with_factory(EngineRegistry::paper).plan(97, Strategy::Estimate);
+        assert_eq!(paper.unwrap().ranking.last().unwrap().name, "dft_naive");
         // At 1009 the inner length 1008 = 2^4·3^2·7 is itself rough,
         // so Rader recurses into Bluestein and pays twice the chirp-Z
         // cost — the model must rank plain Bluestein first there.
@@ -609,7 +600,7 @@ mod tests {
 
     #[test]
     fn estimate_and_measure_wisdom_are_keyed_apart() {
-        let mut planner = Planner::new().with_measure_reps(1);
+        let mut planner = Planner::new();
         planner.plan(64, Strategy::Estimate).unwrap();
         planner.plan(64, Strategy::Measure).unwrap();
         planner.plan_directed(64, Direction::Inverse, Strategy::Estimate).unwrap();
@@ -628,24 +619,24 @@ mod tests {
 
     #[test]
     fn measure_keeps_calibration_distributions() {
-        let reps = 4;
-        let mut planner = Planner::new().with_observability(true).with_measure_reps(reps);
+        let reps = MEASURE_REPS as u64;
+        let mut planner = Planner::with_factory(EngineRegistry::paper).with_observability(true);
         planner.plan(64, Strategy::Measure).unwrap();
         let snap = planner.calibration_snapshot();
-        assert_eq!(snap.series().len(), EngineRegistry::standard(64).unwrap().len());
+        assert_eq!(snap.series().len(), EngineRegistry::paper(64).unwrap().len());
         for (name, hist) in snap.series() {
             assert!(name.starts_with("n64/fwd/"), "{name}");
-            assert_eq!(hist.count(), reps as u64, "{name} kept every rep");
+            assert_eq!(hist.count(), reps, "{name} kept every rep");
             assert!(hist.max().unwrap() >= hist.min().unwrap());
         }
         // A wisdom replay re-runs nothing and records nothing new.
         planner.plan(64, Strategy::Measure).unwrap();
-        assert_eq!(planner.calibration_snapshot().get("n64/fwd/dft_naive").unwrap().count(), 4);
+        assert_eq!(planner.calibration_snapshot().get("n64/fwd/dft_naive").unwrap().count(), reps);
     }
 
     #[test]
     fn observability_off_discards_calibration() {
-        let mut planner = Planner::new().with_observability(false).with_measure_reps(2);
+        let mut planner = Planner::new().with_observability(false);
         planner.plan(64, Strategy::Measure).unwrap();
         assert!(planner.calibration_snapshot().series().is_empty());
     }

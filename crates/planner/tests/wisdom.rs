@@ -161,7 +161,7 @@ fn stale_wisdom_from_another_backend_set_never_matches() {
 
 #[test]
 fn planner_wisdom_survives_a_disk_round_trip() {
-    let mut planner = Planner::new().with_measure_reps(1);
+    let mut planner = Planner::new();
     let first = planner.plan(64, Strategy::Measure).expect("measure");
 
     let path = std::env::temp_dir().join("afft-wisdom-planner-cycle-test.txt");

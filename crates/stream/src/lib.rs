@@ -51,7 +51,7 @@
 //! use afft_stream::{ChannelSpec, StreamPipeline};
 //!
 //! let mut builder = StreamPipeline::builder(EngineRegistry::standard).workers(2).queue_depth(8);
-//! let ch = builder.channel(ChannelSpec::transform(256, "radix2_dit", Direction::Forward));
+//! let ch = builder.channel(ChannelSpec::transform(256, "radix4_dit", Direction::Forward));
 //! let pipeline = builder.build()?;
 //!
 //! // The caller brings both buffers; they come back in the completion.

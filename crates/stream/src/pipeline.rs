@@ -447,10 +447,12 @@ pub struct StreamPipeline {
 }
 
 impl StreamPipeline {
-    /// Starts configuring a pipeline over a registry factory
-    /// ([`EngineRegistry::standard`](afft_core::engine::EngineRegistry::standard)
-    /// for the software backends, `registry_with_asip` to let the
-    /// cycle-accurate ISS serve channels).
+    /// Starts configuring a pipeline over a registry factory:
+    /// [`EngineRegistry::standard`](afft_core::engine::EngineRegistry::standard)
+    /// for the serving engines,
+    /// [`EngineRegistry::paper`](afft_core::engine::EngineRegistry::paper)
+    /// when a channel names the golden model or a prior-art engine, or
+    /// `registry_with_asip` to let the cycle-accurate ISS serve channels.
     pub fn builder(factory: RegistryFactory) -> StreamBuilder {
         StreamBuilder {
             factory,
@@ -1125,12 +1127,11 @@ mod tests {
 
     #[test]
     fn single_channel_round_trip_delivers_in_order() {
-        let mut builder =
-            StreamPipeline::builder(EngineRegistry::standard).workers(3).queue_depth(4);
+        let mut builder = StreamPipeline::builder(EngineRegistry::paper).workers(3).queue_depth(4);
         let ch = builder.channel(ChannelSpec::transform(64, "radix2_dit", Direction::Forward));
         let pipeline = builder.build().unwrap();
 
-        let mut engine = EngineRegistry::standard(64).unwrap().take("radix2_dit").unwrap();
+        let mut engine = EngineRegistry::paper(64).unwrap().take("radix2_dit").unwrap();
         let mut expected = Vec::new();
         for s in 0..16u64 {
             let x = tagged(64, s as f64);
@@ -1186,7 +1187,7 @@ mod tests {
 
     #[test]
     fn shape_and_closed_refusals_hand_buffers_back() {
-        let mut builder = StreamPipeline::builder(EngineRegistry::standard).workers(1);
+        let mut builder = StreamPipeline::builder(EngineRegistry::paper).workers(1);
         let ch = builder.channel(ChannelSpec::transform(64, "mcfft", Direction::Inverse));
         let pipeline = builder.build().unwrap();
 
@@ -1213,8 +1214,7 @@ mod tests {
 
     #[test]
     fn shutdown_returns_undelivered_completions_in_order() {
-        let mut builder =
-            StreamPipeline::builder(EngineRegistry::standard).workers(2).queue_depth(16);
+        let mut builder = StreamPipeline::builder(EngineRegistry::paper).workers(2).queue_depth(16);
         let ch = builder.channel(ChannelSpec::transform(64, "radix2_dif", Direction::Forward));
         let pipeline = builder.build().unwrap();
         for s in 0..10u64 {
@@ -1234,14 +1234,14 @@ mod tests {
 
     #[test]
     fn builder_rejects_bad_channels_and_empty_pipelines() {
-        let err = StreamPipeline::builder(EngineRegistry::standard).build().unwrap_err();
+        let err = StreamPipeline::builder(EngineRegistry::paper).build().unwrap_err();
         assert!(matches!(err, FftError::InvalidDecomposition { .. }));
 
-        let mut builder = StreamPipeline::builder(EngineRegistry::standard);
+        let mut builder = StreamPipeline::builder(EngineRegistry::paper);
         builder.channel(ChannelSpec::transform(64, "asip_iss", Direction::Forward));
         assert!(matches!(builder.build().unwrap_err(), FftError::Backend { .. }));
 
-        let mut builder = StreamPipeline::builder(EngineRegistry::standard);
+        let mut builder = StreamPipeline::builder(EngineRegistry::paper);
         builder.channel(ChannelSpec {
             n: 64,
             engine: "radix2_dit".into(),
@@ -1252,8 +1252,7 @@ mod tests {
 
     #[test]
     fn stats_track_queue_pressure() {
-        let mut builder =
-            StreamPipeline::builder(EngineRegistry::standard).workers(1).queue_depth(2);
+        let mut builder = StreamPipeline::builder(EngineRegistry::paper).workers(1).queue_depth(2);
         let ch = builder.channel(ChannelSpec::transform(64, "dft_naive", Direction::Forward));
         let pipeline = builder.build().unwrap();
         assert_eq!(pipeline.queue_capacity(), 2);
@@ -1344,11 +1343,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "different StreamPipeline")]
     fn foreign_channel_ids_are_rejected_even_with_in_range_indices() {
-        let mut builder = StreamPipeline::builder(EngineRegistry::standard).workers(1);
+        let mut builder = StreamPipeline::builder(EngineRegistry::paper).workers(1);
         let foreign = builder.channel(ChannelSpec::transform(64, "radix2_dit", Direction::Forward));
         let _other = builder.build().unwrap();
 
-        let mut builder = StreamPipeline::builder(EngineRegistry::standard).workers(1);
+        let mut builder = StreamPipeline::builder(EngineRegistry::paper).workers(1);
         let _local = builder.channel(ChannelSpec {
             n: 64,
             engine: "radix2_dit".into(),
@@ -1365,7 +1364,7 @@ mod tests {
         // Explicit override, so the test is deterministic regardless of
         // the ambient AFFT_OBS (CI runs the suite under both values).
         let mut builder =
-            StreamPipeline::builder(EngineRegistry::standard).workers(2).observability(false);
+            StreamPipeline::builder(EngineRegistry::paper).workers(2).observability(false);
         let ch = builder.channel(ChannelSpec::transform(64, "radix2_dit", Direction::Forward));
         let pipeline = builder.build().unwrap();
         assert!(!pipeline.observability_enabled());
@@ -1379,7 +1378,7 @@ mod tests {
     fn observability_histograms_count_every_symbol() {
         // Sampling is by per-channel sequence number, so counts are
         // exact: seqs 0, 8 and 16 of channel a's 20, seq 0 of b's one.
-        let mut builder = StreamPipeline::builder(EngineRegistry::standard)
+        let mut builder = StreamPipeline::builder(EngineRegistry::paper)
             .workers(3)
             .queue_depth(8)
             .observability(true);
@@ -1422,7 +1421,7 @@ mod tests {
         // Sampling is by per-channel sequence number, so the sampled
         // subset is deterministic: seqs 0 and 8 out of 0..12.
         let mut builder =
-            StreamPipeline::builder(EngineRegistry::standard).workers(2).observability(true);
+            StreamPipeline::builder(EngineRegistry::paper).workers(2).observability(true);
         let ch = builder.channel(ChannelSpec::transform(64, "radix2_dit", Direction::Forward));
         let pipeline = builder.build().unwrap();
         for s in 0..12u64 {
@@ -1455,8 +1454,7 @@ mod tests {
 
     #[test]
     fn round_robin_homes_cover_the_pool() {
-        let mut builder =
-            StreamPipeline::builder(EngineRegistry::standard).workers(2).queue_depth(8);
+        let mut builder = StreamPipeline::builder(EngineRegistry::paper).workers(2).queue_depth(8);
         let chs: Vec<ChannelId> = (0..4)
             .map(|_| builder.channel(ChannelSpec::transform(64, "radix2_dit", Direction::Forward)))
             .collect();

@@ -61,7 +61,7 @@ fn streamed(plan: &Plan, workers: usize, batch: &[Vec<C64>]) -> Vec<Vec<C64>> {
 
 #[test]
 fn threaded_pool_is_bit_identical_on_a_64_symbol_ofdm_batch() {
-    let mut planner = Planner::new().with_measure_reps(1);
+    let mut planner = Planner::new();
     let plan = planner.plan(N, Strategy::Measure).expect("measure plan");
     assert_eq!(plan.ranking.len(), EngineRegistry::standard(N).expect("registry").len());
 

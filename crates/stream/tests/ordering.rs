@@ -53,7 +53,7 @@ proptest! {
             1..=3,
         ),
     ) {
-        let mut builder = StreamPipeline::builder(EngineRegistry::standard)
+        let mut builder = StreamPipeline::builder(EngineRegistry::paper)
             .workers(4)
             .queue_depth(3);
         let mut ids = Vec::new();
@@ -72,7 +72,7 @@ proptest! {
             let n = 1usize << log_n;
             let dir = if inverse { Direction::Inverse } else { Direction::Forward };
             let mut eng =
-                EngineRegistry::standard(n).unwrap().take(ENGINES[engine]).expect("registered");
+                EngineRegistry::paper(n).unwrap().take(ENGINES[engine]).expect("registered");
             expected.push(
                 (0..count as u64).map(|s| eng.execute(&symbol(n, idx, s), dir).unwrap()).collect(),
             );
@@ -133,7 +133,7 @@ fn queue_full_rejects_without_losing_accepted_work() {
     // One worker chewing O(N^2) naive DFTs at N=1024 drains the queue
     // far slower than the submission loop fills it, so capacity 2 is
     // reached deterministically within the first few attempts.
-    let mut builder = StreamPipeline::builder(EngineRegistry::standard).workers(1).queue_depth(2);
+    let mut builder = StreamPipeline::builder(EngineRegistry::paper).workers(1).queue_depth(2);
     let ch = builder.channel(ChannelSpec::transform(1024, "dft_naive", Direction::Forward));
     let pipeline = builder.build().unwrap();
 

@@ -44,7 +44,7 @@ fn assert_claims_coherent(stats: &StreamStats) {
 
 #[test]
 fn flooded_channel_is_drained_by_steals_while_others_progress() {
-    let mut builder = StreamPipeline::builder(EngineRegistry::standard).workers(4).queue_depth(64);
+    let mut builder = StreamPipeline::builder(EngineRegistry::paper).workers(4).queue_depth(64);
     // The flood: a deliberately slow O(n²) engine, so its home worker
     // is saturated and a backlog forms on its shard.
     let flood = builder.channel(ChannelSpec::transform(1024, "dft_naive", Direction::Forward));
@@ -94,7 +94,7 @@ fn flooded_channel_is_drained_by_steals_while_others_progress() {
 
 #[test]
 fn balanced_serial_load_stays_on_home_workers_with_zero_steals() {
-    let mut builder = StreamPipeline::builder(EngineRegistry::standard).workers(4).queue_depth(8);
+    let mut builder = StreamPipeline::builder(EngineRegistry::paper).workers(4).queue_depth(8);
     let channels: Vec<_> = (0..4)
         .map(|_| builder.channel(ChannelSpec::transform(64, "radix2_dit", Direction::Forward)))
         .collect();

@@ -58,7 +58,7 @@ fn reference_spectra() -> Vec<Vec<Vec<C64>>> {
         .iter()
         .enumerate()
         .map(|(idx, &(n, engine, count))| {
-            let mut eng = EngineRegistry::standard(n).unwrap().take(engine).expect("registered");
+            let mut eng = EngineRegistry::paper(n).unwrap().take(engine).expect("registered");
             (0..count)
                 .map(|s| eng.execute(&symbol(n, idx, s), Direction::Forward).unwrap())
                 .collect()
@@ -68,7 +68,7 @@ fn reference_spectra() -> Vec<Vec<Vec<C64>>> {
 
 #[test]
 fn try_submit_storm_delivers_every_accepted_symbol_in_order() {
-    let mut builder = StreamPipeline::builder(EngineRegistry::standard).workers(2).queue_depth(2); // tiny on purpose: the storm must hit QueueFull
+    let mut builder = StreamPipeline::builder(EngineRegistry::paper).workers(2).queue_depth(2); // tiny on purpose: the storm must hit QueueFull
     let ids: Vec<_> = CHANNELS
         .iter()
         .map(|&(n, engine, _)| {
@@ -145,7 +145,7 @@ fn try_submit_storm_delivers_every_accepted_symbol_in_order() {
 
 #[test]
 fn shutdown_under_load_completes_and_returns_accepted_work_in_order() {
-    let mut builder = StreamPipeline::builder(EngineRegistry::standard).workers(2).queue_depth(8);
+    let mut builder = StreamPipeline::builder(EngineRegistry::paper).workers(2).queue_depth(8);
     let ids: Vec<_> = CHANNELS
         .iter()
         .map(|&(n, engine, _)| {

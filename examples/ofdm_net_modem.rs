@@ -119,7 +119,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // behind a 2-deep budget; the flood must see RETRY_AFTER frames,
     // and the ledger must balance exactly.
     let mut builder =
-        NetServer::builder(EngineRegistry::standard).workers(1).queue_depth(2).retry_after_ms(5);
+        NetServer::builder(EngineRegistry::paper).workers(1).queue_depth(2).retry_after_ms(5);
     let ch = builder.channel(ChannelSpec::transform(512, "dft_naive", Direction::Forward));
     let shallow = builder.serve("127.0.0.1:0")?;
     let flood_client = NetClient::connect(shallow.local_addr())?;

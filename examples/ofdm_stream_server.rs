@@ -167,7 +167,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Backpressure, demonstrated: a tiny queue on a slow engine rejects
     // with QueueFull instead of blocking — and hands the buffers back.
-    let mut builder = StreamPipeline::builder(EngineRegistry::standard).workers(1).queue_depth(2);
+    let mut builder = StreamPipeline::builder(EngineRegistry::paper).workers(1).queue_depth(2);
     let ch = builder.channel(ChannelSpec::transform(512, "dft_naive", Direction::Forward));
     let small = builder.build()?;
     let mut payload = (vec![Complex::new(1.0, 0.0); 512], vec![C64::zero(); 512]);

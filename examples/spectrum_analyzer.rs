@@ -85,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // preallocated spectrum buffer serves the whole sweep — the
     // engines run on the zero-allocation `execute_into` path.
     println!();
-    let mut registry = EngineRegistry::standard(len)?;
+    let mut registry = EngineRegistry::paper(len)?;
     let mut full = vec![Complex::zero(); len];
     for engine in registry.engines_mut() {
         engine.execute_into(&windowed, &mut full, Direction::Forward)?;

@@ -31,9 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Seeded from the per-machine wisdom file: the first run pays the
     // Measure sweep, later runs replay the cached rankings.
     let path = Wisdom::default_path();
-    let mut planner = Planner::with_factory(registry_with_asip)
-        .with_wisdom(Wisdom::load(&path)?)
-        .with_measure_reps(2);
+    let mut planner = Planner::with_factory(registry_with_asip).with_wisdom(Wisdom::load(&path)?);
     for n in [128usize, 256, 512, 1024, 2048] {
         let split = Split::for_size(n)?;
         let estimate = planner.plan(n, Strategy::Estimate)?;

@@ -54,7 +54,7 @@ proptest! {
     }
 
     /// Satellite: `execute` and `execute_into` are **bit-identical**
-    /// (not merely within tolerance) for every engine in the standard
+    /// (not merely within tolerance) for every engine in the paper
     /// registry, across sizes and both directions — the convenience
     /// wrapper is exactly the primitive plus one allocation. The output
     /// buffer is deliberately reused dirty across engines to prove no
@@ -67,7 +67,7 @@ proptest! {
     ) {
         let n = 1usize << log_n;
         let dir = if inverse { Direction::Inverse } else { Direction::Forward };
-        let mut registry = EngineRegistry::standard(n).expect("registry");
+        let mut registry = EngineRegistry::paper(n).expect("registry");
         let x = random_signal(n, seed);
         let mut out = vec![Complex::new(f64::NAN, f64::NAN); n];
         for engine in registry.engines_mut() {

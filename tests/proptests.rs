@@ -200,7 +200,7 @@ proptest! {
         let y = law_signal(n, seed ^ 0xdead_beef);
         let combo: Vec<C64> =
             x.iter().zip(&y).map(|(&xv, &yv)| xv * a + yv * b).collect();
-        let mut registry = EngineRegistry::standard(n).expect("supported size");
+        let mut registry = EngineRegistry::paper(n).expect("supported size");
         for engine in registry.engines_mut() {
             let fx = engine.execute(&x, Direction::Forward).unwrap();
             let fy = engine.execute(&y, Direction::Forward).unwrap();
@@ -229,7 +229,7 @@ proptest! {
         let n = ENGINE_LAW_SIZES[size_idx];
         let x = law_signal(n, seed.wrapping_add(77));
         let ex: f64 = x.iter().map(|c| c.norm_sqr()).sum();
-        let mut registry = EngineRegistry::standard(n).expect("supported size");
+        let mut registry = EngineRegistry::paper(n).expect("supported size");
         for engine in registry.engines_mut() {
             let fx = engine.execute(&x, Direction::Forward).unwrap();
             let ey: f64 = fx.iter().map(|c| c.norm_sqr()).sum();
@@ -253,7 +253,7 @@ proptest! {
         let shift = 1 + raw_shift % (n - 1);
         let x = law_signal(n, seed.wrapping_add(131));
         let shifted: Vec<C64> = (0..n).map(|m| x[(m + shift) % n]).collect();
-        let mut registry = EngineRegistry::standard(n).expect("supported size");
+        let mut registry = EngineRegistry::paper(n).expect("supported size");
         for engine in registry.engines_mut() {
             let fx = engine.execute(&x, Direction::Forward).unwrap();
             let fs = engine.execute(&shifted, Direction::Forward).unwrap();
@@ -304,7 +304,9 @@ proptest! {
 /// no rough composite, no adversarial factorisation falls through. The
 /// degenerate sizes 0 and 1 are the only rejections. Every 5-smooth
 /// `n` — every power of two included — also keeps a structured kernel:
-/// `mixed_radix` is registered for it.
+/// `mixed_radix` is registered for it. The registries split by role at
+/// every size: `standard` serves without the golden model or the prior
+/// art, and `paper` is `standard` followed by them.
 #[test]
 fn every_size_up_to_2048_is_supported_and_plans() {
     assert!(!EngineRegistry::supports(0));
@@ -315,10 +317,18 @@ fn every_size_up_to_2048_is_supported_and_plans() {
         assert!(EngineRegistry::supports(n), "supports({n}) must hold");
         let registry =
             EngineRegistry::standard(n).unwrap_or_else(|e| panic!("standard({n}) must plan: {e}"));
-        // Every registry carries the naive reference and the universal
-        // chirp-Z fallback; nothing is ever near-empty.
-        assert!(registry.get("dft_naive").is_some(), "n={n}");
+        let paper =
+            EngineRegistry::paper(n).unwrap_or_else(|e| panic!("paper({n}) must plan: {e}"));
+        for moved in ["dft_naive", "radix2_dit", "radix2_dif", "mcfft", "cached_fft"] {
+            assert!(registry.get(moved).is_none(), "{moved} serves at n={n}");
+        }
+        let served = registry.names();
+        assert_eq!(paper.names()[..served.len()], served[..], "paper({n}) extends standard");
+        // Both carry the universal chirp-Z fallback, and the paper set
+        // carries the naive reference; nothing is ever near-empty.
+        assert!(paper.get("dft_naive").is_some(), "n={n}");
         assert!(registry.get("bluestein").is_some(), "n={n}");
+        assert!(paper.get("bluestein").is_some(), "n={n}");
         let rough = [2usize, 3, 5].iter().fold(n, |mut rest, &p| {
             while rest.is_multiple_of(p) {
                 rest /= p;
