@@ -1,13 +1,16 @@
 //! [`FftEngine`] adapter over the cycle-accurate ASIP ISS: the
 //! simulated hardware as just another backend in the registry.
 //!
-//! [`AsipEngine::execute_into`](afft_core::FftEngine::execute_into)
-//! quantises the `f64` input into the Q15 wire format (auto-scaled to
-//! 50% of full scale at the input peak) in an engine-owned staging
-//! buffer — reused across runs, so the adapter adds no per-transform
-//! heap work of its own — runs the generated Algorithm-1 program on
-//! the simulator, and rescales the output back to the
-//! unnormalised-DFT contract of the trait. Execution statistics of the
+//! The engine plans lazily, once per direction: the first transform in
+//! a direction builds an [`AsipPlan`] (generated Algorithm-1 program,
+//! layout-sized machine, staged pre-rotation table) and keeps it.
+//! Every [`AsipEngine::execute_into`](afft_core::FftEngine::execute_into)
+//! then quantises the `f64` input into the Q15 wire format (auto-scaled
+//! to 50% of full scale at the input peak) in an engine-owned staging
+//! buffer, reruns the plan from the machine's power-on state, and
+//! rescales the output straight into the caller's slice to meet the
+//! unnormalised-DFT contract of the trait. After the first call in each
+//! direction the adapter does no heap work. Execution statistics of the
 //! most recent run (cycles, instruction classes, cache counters) are
 //! retained and exposed through [`AsipEngine::last_stats`];
 //! [`AsipEngine::traffic`] reports the measured `LDIN`/`STOUT` point
@@ -29,7 +32,7 @@
 //! # Ok::<(), afft_core::FftError>(())
 //! ```
 
-use crate::runner::{run_array_fft, AsipConfig, AsipError};
+use crate::runner::{AsipConfig, AsipError, AsipPlan};
 use afft_core::cached::MemTraffic;
 use afft_core::engine::{check_io, EngineRegistry, FftEngine};
 use afft_core::{Direction, FftError, Split};
@@ -46,8 +49,10 @@ pub struct AsipEngine {
     n: usize,
     cfg: AsipConfig,
     last_stats: Option<Stats>,
-    // Reusable Q15 quantisation staging for the wire-format input.
-    quant_scratch: Vec<Complex<Q15>>,
+    /// The forward and inverse plans, each built on first use.
+    plans: [Option<AsipPlan>; 2],
+    /// Q15 staging reused for the quantised input and then the spectrum.
+    q15_scratch: Vec<Complex<Q15>>,
     /// Modeled cycle counts of every run — always recorded (the
     /// simulator's own cost dwarfs two histogram adds), so per-run
     /// variation (e.g. across cache configurations) is inspectable
@@ -77,7 +82,8 @@ impl AsipEngine {
             n,
             cfg,
             last_stats: None,
-            quant_scratch: Vec::new(),
+            plans: [None, None],
+            q15_scratch: Vec::new(),
             cycle_hist: afft_obs::Histogram::new(),
         })
     }
@@ -129,22 +135,29 @@ impl FftEngine for AsipEngine {
         // so arbitrary-magnitude inputs survive quantisation.
         let peak = input.iter().map(|c| c.re.abs().max(c.im.abs())).fold(0.0, f64::max);
         let scale = if peak > 0.0 { QUANT_AMPLITUDE / peak } else { 1.0 };
-        self.quant_scratch.resize(self.n, Complex::zero());
-        for (slot, &c) in self.quant_scratch.iter_mut().zip(input) {
+        self.q15_scratch.resize(self.n, Complex::zero());
+        for (slot, &c) in self.q15_scratch.iter_mut().zip(input) {
             *slot = Complex::from_c64(c * scale);
         }
 
-        let run = run_array_fft(&self.quant_scratch, dir, &self.cfg).map_err(|e| match e {
+        let backend = |e: AsipError| match e {
             AsipError::Fft(e) => e,
             other => FftError::Backend { engine: "asip_iss".into(), reason: other.to_string() },
-        })?;
-        self.last_stats = Some(run.stats);
-        self.cycle_hist.record(run.stats.cycles);
+        };
+        let slot = &mut self.plans[usize::from(matches!(dir, Direction::Inverse))];
+        let plan = match slot {
+            Some(plan) => plan,
+            None => slot.insert(AsipPlan::new(self.n, dir, &self.cfg).map_err(backend)?),
+        };
+        let stats = plan.run(&self.q15_scratch).map_err(backend)?;
+        plan.read_output(&mut self.q15_scratch).map_err(backend)?;
+        self.last_stats = Some(stats);
+        self.cycle_hist.record(stats.cycles);
 
         // The datapath scales by 1/N; undo that and the input scaling
         // to meet the unnormalised-DFT contract.
         let restore = self.n as f64 / scale;
-        for (slot, q) in output.iter_mut().zip(&run.output) {
+        for (slot, q) in output.iter_mut().zip(&self.q15_scratch) {
             *slot = q.to_c64() * restore;
         }
         Ok(())

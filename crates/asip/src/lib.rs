@@ -7,8 +7,11 @@
 //!   the base ISA (the dominant cost of the paper's Imple 1 baseline);
 //! * [`swfft`] — the standard software radix-2 FFT compiled against the
 //!   soft-float library (Imple 1 itself);
-//! * [`runner`] — stage-inputs/run/collect drivers used by examples,
-//!   integration tests and the benchmark harness;
+//! * [`runner`] — [`runner::AsipPlan`] (program, machine and
+//!   pre-rotation table built once per size and direction, then run
+//!   many times) and the one-shot [`run_array_fft`] built on it, used
+//!   by examples, integration tests and the benchmark harness;
+//! * [`pipeline`] — warm back-to-back symbols on one plan;
 //! * [`engine`] — the [`afft_core::engine::FftEngine`] adapter that
 //!   registers the cycle-accurate ISS alongside the software backends.
 //!
@@ -40,4 +43,6 @@ pub mod swfft_fixed;
 
 pub use engine::{registry_with_asip, AsipEngine};
 pub use layout::Layout;
-pub use runner::{golden_array_fft, quantize_input, run_array_fft, AsipConfig, AsipError, AsipRun};
+pub use runner::{
+    golden_array_fft, quantize_input, run_array_fft, AsipConfig, AsipError, AsipPlan, AsipRun,
+};

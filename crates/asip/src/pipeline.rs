@@ -2,27 +2,23 @@
 //! persistent machine.
 //!
 //! An OFDM receiver does not run one FFT — it runs one FFT per symbol,
-//! forever. Keeping the machine (and its cache and generated program)
-//! alive between symbols amortises setup and warms the pre-rotation
-//! table, which is how the real ASIP reaches its steady-state
-//! throughput. [`FftPipeline`] owns a configured machine and processes
-//! a stream of symbols, reporting cold-vs-steady-state cost.
+//! forever. [`FftPipeline`] holds one forward [`AsipPlan`] (program,
+//! machine and pre-rotation table built once) and processes a stream of
+//! symbols on it. Unlike [`AsipPlan::run`], it does not restart the
+//! machine between symbols: registers, FFT-unit state and the warmed
+//! pre-rotation lines in the cache carry over, which is how the real
+//! ASIP reaches its steady-state throughput, and the pipeline reports
+//! cold-vs-steady-state cost.
 
-use crate::layout::Layout;
-use crate::program::{generate_array_fft, ProgramOptions};
-use crate::runner::AsipError;
-use afft_core::address::transposed_to_natural_bin;
-use afft_core::Split;
-use afft_num::{twiddle_q15, Complex, Q15};
-use afft_sim::{Machine, MachineConfig, Stats, Timing};
+use crate::runner::{AsipConfig, AsipError, AsipPlan};
+use afft_core::Direction;
+use afft_num::{Complex, Q15};
+use afft_sim::{Stats, Timing};
 
 /// A persistent FFT engine processing a stream of equal-size symbols.
 #[derive(Debug)]
 pub struct FftPipeline {
-    machine: Machine,
-    program: afft_isa::Program,
-    split: Split,
-    layout: Layout,
+    plan: AsipPlan,
     symbols: u64,
     first_cycles: Option<u64>,
     total_cycles: u64,
@@ -35,33 +31,14 @@ impl FftPipeline {
     ///
     /// Returns [`AsipError`] for invalid sizes or generation failures.
     pub fn new(n: usize, timing: Timing) -> Result<Self, AsipError> {
-        let split = Split::for_size(n)?;
-        let layout = Layout::for_size(n);
-        let program = generate_array_fft(&split, &layout, ProgramOptions::default())?;
-        let mut machine = Machine::new(MachineConfig {
-            mem_bytes: layout.mem_bytes,
-            timing,
-            crf_capacity: split.p_size,
-            ..MachineConfig::default()
-        });
-        // Stage the pre-rotation table once; it persists across symbols.
-        for k in 0..=n / 8 {
-            machine.mem_mut().write_complex(layout.table_base + 4 * k as u32, twiddle_q15(n, k))?;
-        }
-        Ok(FftPipeline {
-            machine,
-            program,
-            split,
-            layout,
-            symbols: 0,
-            first_cycles: None,
-            total_cycles: 0,
-        })
+        let cfg = AsipConfig { timing, ..AsipConfig::default() };
+        let plan = AsipPlan::new(n, Direction::Forward, &cfg)?;
+        Ok(FftPipeline { plan, symbols: 0, first_cycles: None, total_cycles: 0 })
     }
 
     /// Transform size.
     pub fn len(&self) -> usize {
-        self.split.n
+        self.plan.len()
     }
 
     /// Pipelines are never empty.
@@ -84,24 +61,16 @@ impl FftPipeline {
         &mut self,
         input: &[Complex<Q15>],
     ) -> Result<(Vec<Complex<Q15>>, u64), AsipError> {
-        if input.len() != self.split.n {
-            return Err(AsipError::Fft(afft_core::FftError::LengthMismatch {
-                expected: self.split.n,
-                got: input.len(),
-            }));
-        }
-        self.machine.mem_mut().write_complex_slice(self.layout.in_base, input)?;
-        self.machine.load_program(self.program.clone());
-        let before = self.machine.stats().cycles;
-        self.machine.run(u64::MAX)?;
-        let cycles = self.machine.stats().cycles - before;
+        self.plan.stage(input)?;
+        let machine = self.plan.machine_mut();
+        machine.rewind();
+        let before = machine.stats().cycles;
+        // The cycle counter accumulates across symbols: no budget.
+        machine.run(u64::MAX)?;
+        let cycles = machine.stats().cycles - before;
 
-        let transposed =
-            self.machine.mem().read_complex_slice(self.layout.out_base, self.split.n)?;
-        let mut output = vec![Complex::zero(); self.split.n];
-        for (addr, &v) in transposed.iter().enumerate() {
-            output[transposed_to_natural_bin(&self.split, addr)] = v;
-        }
+        let mut output = vec![Complex::zero(); self.len()];
+        self.plan.read_output(&mut output)?;
         self.symbols += 1;
         self.total_cycles += cycles;
         if self.first_cycles.is_none() {
@@ -112,7 +81,7 @@ impl FftPipeline {
 
     /// Cumulative statistics of the underlying machine.
     pub fn stats(&self) -> Stats {
-        self.machine.stats()
+        self.plan.machine().stats()
     }
 
     /// Cold-start cycles of the first symbol (None before any symbol).
@@ -136,7 +105,7 @@ impl FftPipeline {
         if c == 0.0 {
             0.0
         } else {
-            self.split.n as f64 * clock_mhz / c
+            self.len() as f64 * clock_mhz / c
         }
     }
 }

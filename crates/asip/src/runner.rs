@@ -1,5 +1,6 @@
-//! High-level drivers: stage inputs, run a generated program on the
-//! ISS, collect outputs and statistics.
+//! High-level drivers: plan a generated program on the ISS once per
+//! `(N, direction)` ([`AsipPlan`]), then stage inputs, run and collect
+//! outputs and statistics as often as needed.
 
 use crate::layout::Layout;
 use crate::program::{generate_array_fft, ProgramOptions};
@@ -89,10 +90,166 @@ pub fn quantize_input(input: &[C64], amplitude: f64) -> Vec<Complex<Q15>> {
     input.iter().map(|&c| Complex::from_c64(c * amplitude)).collect()
 }
 
-/// Runs the array-FFT ASIP program for `input` (already quantised).
+/// One planned ASIP transform, built once per `(N, direction)` as the
+/// paper's ASIP is "recompiled for different FFT sizes": the generated
+/// Algorithm-1 program, loaded into a [`Machine`] whose memory is sized
+/// to the [`Layout`], with the pre-rotation table staged (the program
+/// only reads it). Each [`AsipPlan::run`] then stages an input,
+/// restarts the machine and simulates, with no heap work.
 ///
-/// Stages the input vector and the compressed pre-rotation table, runs
-/// the generated Algorithm-1 program to `HALT`, and gathers the output.
+/// # Examples
+///
+/// ```
+/// use afft_asip::runner::{AsipConfig, AsipPlan};
+/// use afft_core::Direction;
+/// use afft_num::{Complex, Q15};
+///
+/// let mut plan = AsipPlan::new(64, Direction::Forward, &AsipConfig::default())?;
+/// let mut impulse = vec![Complex::zero(); 64];
+/// impulse[0].re = Q15::from_f64(0.5);
+/// let mut spectrum = vec![Complex::zero(); 64];
+/// for _ in 0..2 {
+///     assert!(plan.run(&impulse)?.cycles > 0);
+///     plan.read_output(&mut spectrum)?;
+///     // Flat spectrum, scaled by 1/N in the datapath.
+///     assert!((spectrum[7].re.to_f64() - 0.5 / 64.0).abs() < 1e-3);
+/// }
+/// # Ok::<(), afft_asip::AsipError>(())
+/// ```
+#[derive(Debug)]
+pub struct AsipPlan {
+    layout: Layout,
+    machine: Machine,
+    /// `natural_bin[a]` is the natural-order bin of the point the
+    /// program stores at transposed output index `a`.
+    natural_bin: Vec<usize>,
+    max_cycles: u64,
+}
+
+impl AsipPlan {
+    /// Plans an `n`-point transform in direction `dir` on the default
+    /// machine.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AsipError`] for invalid sizes or generation failures.
+    pub fn new(n: usize, dir: Direction, cfg: &AsipConfig) -> Result<Self, AsipError> {
+        Self::with_machine_config(n, dir, cfg, &MachineConfig::default())
+    }
+
+    /// [`AsipPlan::new`] with explicit machine parameters (cache
+    /// geometry, streaming-port ablation flag, ...). CRF capacity and
+    /// memory size come from the transform size: memory is exactly the
+    /// layout's `mem_bytes`, so a stray access traps
+    /// [`SimError::BadAddress`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`AsipPlan::new`].
+    pub fn with_machine_config(
+        n: usize,
+        dir: Direction,
+        cfg: &AsipConfig,
+        machine_cfg: &MachineConfig,
+    ) -> Result<Self, AsipError> {
+        let split = Split::for_size(n)?;
+        let layout = Layout::for_size(n);
+        let mut options = cfg.options;
+        options.inverse = matches!(dir, Direction::Inverse);
+        let program = generate_array_fft(&split, &layout, options)?;
+
+        let mut machine = Machine::new(MachineConfig {
+            mem_bytes: layout.mem_bytes,
+            timing: cfg.timing,
+            crf_capacity: split.p_size,
+            ..*machine_cfg
+        });
+        // The N/8 + 1 compressed pre-rotation coefficients, as the
+        // host runtime of the real system writes them.
+        for k in 0..=n / 8 {
+            machine.mem_mut().write_complex(layout.table_base + 4 * k as u32, twiddle_q15(n, k))?;
+        }
+        machine.load_program(program);
+        let natural_bin = (0..n).map(|addr| transposed_to_natural_bin(&split, addr)).collect();
+        Ok(AsipPlan { layout, machine, natural_bin, max_cycles: cfg.max_cycles })
+    }
+
+    /// Transform size.
+    pub fn len(&self) -> usize {
+        self.layout.n
+    }
+
+    /// Plans are never empty.
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// The planned machine, with the program loaded.
+    pub fn machine(&self) -> &Machine {
+        &self.machine
+    }
+
+    /// Mutable access to the planned machine, for drivers that run it
+    /// their own way (warm reruns, profiling).
+    pub fn machine_mut(&mut self) -> &mut Machine {
+        &mut self.machine
+    }
+
+    /// Writes `input` (natural order) to the program's input region.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FftError::LengthMismatch`] unless `input` has
+    /// [`AsipPlan::len`] points.
+    pub fn stage(&mut self, input: &[Complex<Q15>]) -> Result<(), AsipError> {
+        self.check_len(input.len())?;
+        self.machine.mem_mut().write_complex_slice(self.layout.in_base, input)?;
+        Ok(())
+    }
+
+    /// Runs one transform of `input`: stages it, restarts the machine
+    /// ([`Machine::restart`]) and simulates to `HALT`, so every run's
+    /// statistics equal those of a freshly built machine.
+    ///
+    /// # Errors
+    ///
+    /// Length mismatches as for [`AsipPlan::stage`]; simulator traps,
+    /// including [`SimError::CycleLimit`] past the configured budget.
+    pub fn run(&mut self, input: &[Complex<Q15>]) -> Result<Stats, AsipError> {
+        self.stage(input)?;
+        self.machine.restart();
+        Ok(self.machine.run(self.max_cycles)?)
+    }
+
+    /// Reads the spectrum the last run left in memory into `output`, in
+    /// natural bin order (scaled by `1/N` by the datapath).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FftError::LengthMismatch`] unless `output` has
+    /// [`AsipPlan::len`] points.
+    pub fn read_output(&self, output: &mut [Complex<Q15>]) -> Result<(), AsipError> {
+        self.check_len(output.len())?;
+        for (addr, &bin) in self.natural_bin.iter().enumerate() {
+            output[bin] =
+                self.machine.mem().read_complex(self.layout.out_base + 4 * addr as u32)?;
+        }
+        Ok(())
+    }
+
+    fn check_len(&self, got: usize) -> Result<(), FftError> {
+        if got == self.len() {
+            Ok(())
+        } else {
+            Err(FftError::LengthMismatch { expected: self.len(), got })
+        }
+    }
+}
+
+/// Runs the array-FFT ASIP program for `input` (already quantised):
+/// plans the transform ([`AsipPlan`]), runs it once and gathers the
+/// output. Callers that transform more than once should keep an
+/// [`AsipPlan`] instead.
 ///
 /// # Errors
 ///
@@ -108,7 +265,8 @@ pub fn run_array_fft(
 
 /// [`run_array_fft`] with explicit machine parameters (cache geometry,
 /// streaming-port ablation flag, ...). Memory size and CRF capacity are
-/// still derived from the transform size.
+/// still derived from the transform size, as for
+/// [`AsipPlan::with_machine_config`].
 ///
 /// # Errors
 ///
@@ -119,42 +277,13 @@ pub fn run_array_fft_with_machine_config(
     cfg: &AsipConfig,
     machine_cfg: &MachineConfig,
 ) -> Result<AsipRun, AsipError> {
-    let n = input.len();
-    let split = Split::for_size(n)?;
-    let layout = Layout::for_size(n);
-    let mut options = cfg.options;
-    options.inverse = matches!(dir, Direction::Inverse);
-    let program = generate_array_fft(&split, &layout, options)?;
-
-    let mut machine = Machine::new(MachineConfig {
-        mem_bytes: layout.mem_bytes.max(machine_cfg.mem_bytes),
-        timing: cfg.timing,
-        crf_capacity: split.p_size,
-        ..*machine_cfg
-    });
-    machine.mem_mut().write_complex_slice(layout.in_base, input)?;
-    stage_prerot_table(&mut machine, &layout)?;
-    machine.load_program(program);
-    machine.reset_stats();
-    let stats = machine.run(cfg.max_cycles)?;
-
-    let transposed = machine.mem().read_complex_slice(layout.out_base, n)?;
-    let mut output = vec![Complex::zero(); n];
-    for (addr, &v) in transposed.iter().enumerate() {
-        output[transposed_to_natural_bin(&split, addr)] = v;
-    }
-    Ok(AsipRun { output, output_transposed: transposed, stats })
-}
-
-/// Writes the `N/8 + 1` compressed pre-rotation coefficients to the
-/// table region, exactly as the host runtime of the real system would.
-fn stage_prerot_table(machine: &mut Machine, layout: &Layout) -> Result<(), SimError> {
-    for k in 0..=layout.n / 8 {
-        machine
-            .mem_mut()
-            .write_complex(layout.table_base + 4 * k as u32, twiddle_q15(layout.n, k))?;
-    }
-    Ok(())
+    let mut plan = AsipPlan::with_machine_config(input.len(), dir, cfg, machine_cfg)?;
+    let stats = plan.run(input)?;
+    let mut output = vec![Complex::zero(); input.len()];
+    plan.read_output(&mut output)?;
+    let output_transposed =
+        plan.machine.mem().read_complex_slice(plan.layout.out_base, input.len())?;
+    Ok(AsipRun { output, output_transposed, stats })
 }
 
 /// The golden prediction for [`run_array_fft`]: the `afft-core`

@@ -222,7 +222,6 @@ pub fn run_software_fft(
         m.mem_mut().write_u32(base + 4, (w.im as f32).to_bits())?;
     }
     m.load_program(program);
-    m.reset_stats();
     let stats = m.run(max_cycles)?;
     let mut output = Vec::with_capacity(n);
     for i in 0..n {

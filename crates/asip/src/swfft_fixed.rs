@@ -178,7 +178,6 @@ pub fn run_fixed_fft(
         m.mem_mut().write_complex(layout.table_base + 4 * k as u32, w)?;
     }
     m.load_program(program);
-    m.reset_stats();
     let stats = m.run(max_cycles)?;
     let output = m.mem().read_complex_slice(layout.in_base, n)?;
     Ok(FixedFftRun { output, stats })

@@ -5,37 +5,16 @@
 //! program, then folds the hot spots into phases (LDIN / BUT4 / STOUT /
 //! control).
 
-use afft_asip::layout::Layout;
-use afft_asip::program::{generate_array_fft, ProgramOptions};
+use afft_asip::runner::{AsipConfig, AsipPlan};
 use afft_bench::workload::random_signal_q15;
-use afft_core::Split;
-use afft_num::twiddle_q15;
+use afft_core::Direction;
 use afft_sim::profile::profile_run;
-use afft_sim::{Machine, MachineConfig};
 
 fn main() {
     let n = 1024usize;
-    let split = Split::for_size(n).expect("valid size");
-    let layout = Layout::for_size(n);
-    let program = generate_array_fft(&split, &layout, ProgramOptions::default()).expect("generate");
-
-    let mut machine = Machine::new(MachineConfig {
-        mem_bytes: layout.mem_bytes,
-        crf_capacity: split.p_size,
-        ..MachineConfig::default()
-    });
-    machine
-        .mem_mut()
-        .write_complex_slice(layout.in_base, &random_signal_q15(n, 1))
-        .expect("stage input");
-    for k in 0..=n / 8 {
-        machine
-            .mem_mut()
-            .write_complex(layout.table_base + 4 * k as u32, twiddle_q15(n, k))
-            .expect("stage table");
-    }
-    machine.load_program(program.clone());
-    let (stats, profile) = profile_run(&mut machine, 100_000_000).expect("profiled run");
+    let mut plan = AsipPlan::new(n, Direction::Forward, &AsipConfig::default()).expect("plan");
+    plan.stage(&random_signal_q15(n, 1)).expect("stage input");
+    let (stats, profile) = profile_run(plan.machine_mut(), 100_000_000).expect("profiled run");
 
     println!("1024-point ASIP run: {} cycles, {} instructions", stats.cycles, stats.instrs);
     println!();
@@ -64,5 +43,5 @@ fn main() {
     }
     println!();
     println!("hottest instructions:");
-    print!("{}", profile.report(&program, 10));
+    print!("{}", profile.report(plan.machine().program(), 10));
 }

@@ -131,11 +131,6 @@ impl Cache {
         self.stats
     }
 
-    /// Resets counters (not contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Invalidates every line and clears statistics.
     pub fn flush(&mut self) {
         for l in &mut self.lines {

@@ -70,20 +70,39 @@ impl FftUnit {
     /// Panics unless `max_p` is a power of two `>= 8`.
     pub fn new(max_p: usize, scaling: Scaling) -> Self {
         assert!(max_p.is_power_of_two() && max_p >= 8, "FftUnit: invalid CRF size {max_p}");
-        FftUnit {
+        let mut unit = FftUnit {
             crf: vec![Complex::zero(); max_p],
             rom: CoefRom::new(max_p).expect("validated size"),
             scaling,
-            gsize_log2: 3,
-            n_log2: 6,
+            gsize_log2: 0,
+            n_log2: 0,
             group: 0,
             prerot_enable: false,
             prerot_base: 0,
             inverse: false,
-            load_stride: 1,
+            load_stride: 0,
             ldptr: 0,
             stptr: 0,
-        }
+        };
+        unit.reset();
+        unit
+    }
+
+    /// Returns the unit to its power-on state: CRF zeroed, every
+    /// configuration register and pointer at its reset value. The CRF
+    /// capacity, ROM and datapath scaling are construction parameters
+    /// and persist.
+    pub(crate) fn reset(&mut self) {
+        self.crf.fill(Complex::zero());
+        self.gsize_log2 = 3;
+        self.n_log2 = 6;
+        self.group = 0;
+        self.prerot_enable = false;
+        self.prerot_base = 0;
+        self.inverse = false;
+        self.load_stride = 1;
+        self.ldptr = 0;
+        self.stptr = 0;
     }
 
     /// Current `LDIN` gather stride in points.

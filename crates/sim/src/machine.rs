@@ -19,7 +19,10 @@ use afft_num::{Complex, Q15};
 /// Construction parameters for a [`Machine`].
 #[derive(Debug, Clone, Copy)]
 pub struct MachineConfig {
-    /// Data-memory size in bytes.
+    /// Data-memory size in bytes. Every access outside it traps
+    /// [`SimError::BadAddress`]. The default (1 MiB) suits hand-written
+    /// programs; the FFT run drivers size memory to the program's
+    /// layout instead and ignore this field.
     pub mem_bytes: usize,
     /// Data-cache geometry.
     pub cache: CacheConfig,
@@ -83,9 +86,10 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Builds a machine with zeroed registers and memory.
+    /// Builds a machine with zeroed memory and an empty program, in its
+    /// power-on state (see [`Machine::restart`]).
     pub fn new(cfg: MachineConfig) -> Self {
-        Machine {
+        let mut machine = Machine {
             timing: cfg.timing,
             program: Program::from_words(Vec::new()),
             regs: [0; 32],
@@ -96,16 +100,45 @@ impl Machine {
             fft: FftUnit::new(cfg.crf_capacity, cfg.scaling),
             stats: Stats::default(),
             custom_ops_cached: cfg.custom_ops_cached,
-        }
+        };
+        machine.restart();
+        machine
     }
 
-    /// Installs a program and resets pc/halt state (registers, memory,
-    /// cache and statistics are preserved so inputs can be staged
-    /// first; call [`Machine::reset_stats`] for a clean measurement).
-    pub fn load_program(&mut self, program: Program) {
-        self.program = program;
+    /// Returns the machine to its power-on state while keeping what was
+    /// loaded into it: registers zeroed, pc at the program's entry, the
+    /// cache invalidated, the FFT unit's CRF zeroed and its
+    /// configuration registers at their reset values, and statistics
+    /// cleared. Data memory and the program persist, so a
+    /// caller can stage a new input and rerun the same program with the
+    /// same observables as on a fresh [`Machine::new`].
+    pub fn restart(&mut self) {
+        self.regs = [0; 32];
+        self.rewind();
+        self.cache.flush();
+        self.fft.reset();
+        self.stats = Stats::default();
+    }
+
+    /// Points the pc back at the program's entry and clears the halt
+    /// flag; registers, memory, cache, FFT unit and statistics persist
+    /// (a warm rerun of the loaded program).
+    pub fn rewind(&mut self) {
         self.pc = 0;
         self.halted = false;
+    }
+
+    /// Installs a program and rewinds to its entry (registers, memory,
+    /// cache and statistics are preserved so inputs can be staged
+    /// first; call [`Machine::restart`] for a clean measurement).
+    pub fn load_program(&mut self, program: Program) {
+        self.program = program;
+        self.rewind();
+    }
+
+    /// The loaded program.
+    pub fn program(&self) -> &Program {
+        &self.program
     }
 
     /// Reads a GPR.
@@ -140,12 +173,6 @@ impl Machine {
         let mut s = self.stats;
         s.cache = self.cache.stats();
         s
-    }
-
-    /// Clears statistics and cache counters (cache *contents* persist).
-    pub fn reset_stats(&mut self) {
-        self.stats = Stats::default();
-        self.cache.reset_stats();
     }
 
     /// Whether the core has executed `HALT`.
@@ -610,6 +637,66 @@ mod tests {
         m.load_program(Program::from_instrs(&[Instr::NOP]));
         m.step().unwrap();
         assert!(matches!(m.step(), Err(SimError::BadInstruction { pc: 1, .. })));
+    }
+
+    #[test]
+    fn restart_reproduces_a_fresh_machine() {
+        use afft_isa::FftCfg;
+        // Custom-unit configuration, CRF traffic, and base-ISA accesses
+        // through the D-cache: every piece of state restart must reset.
+        let x: Vec<Complex<Q15>> =
+            (0..8).map(|i| Complex::new(Q15::from_f64(f64::from(i) / 32.0), Q15::ZERO)).collect();
+        let mut a = Asm::new();
+        a.li(Reg::T0, 3);
+        a.emit(Instr::Mtfft { rs: Reg::T0, sel: FftCfg::GroupSizeLog2 });
+        a.li(Reg::T0, 1);
+        a.emit(Instr::Mtfft { rs: Reg::T0, sel: FftCfg::InverseEnable });
+        for k in 0..4 {
+            a.emit(Instr::Ldin { base: Reg::ZERO, offset: 8 * k });
+        }
+        a.li(Reg::T1, 1);
+        for j in 1..=3 {
+            a.li(Reg::T2, j);
+            a.emit(Instr::But4 { stage: Reg::T2, module: Reg::T1 });
+        }
+        for k in 0..4 {
+            a.emit(Instr::Stout { base: Reg::ZERO, offset: 256 + 8 * k });
+        }
+        a.emit(Instr::Lw { rt: Reg::V0, base: Reg::ZERO, offset: 256 });
+        a.emit(Instr::Sw { rt: Reg::V0, base: Reg::ZERO, offset: 512 });
+        a.emit(Instr::Halt);
+        let program = a.assemble().unwrap();
+        let run = |m: &mut Machine| {
+            stage_input(m, 0, &x).unwrap();
+            m.run(10_000).unwrap()
+        };
+
+        let mut fresh = machine();
+        fresh.load_program(program.clone());
+        let want = run(&mut fresh);
+        assert!(want.cache.misses > 0, "the cache must see cold misses");
+
+        let mut reused = machine();
+        reused.load_program(program);
+        run(&mut reused);
+        reused.restart();
+        let power_on = machine();
+        assert_eq!(reused.regs, power_on.regs);
+        assert_eq!((reused.pc, reused.halted), (0, false));
+        assert_eq!(reused.stats(), Stats::default());
+        assert_eq!(reused.fft().crf(), power_on.fft().crf());
+        assert_eq!(reused.fft().direction(), power_on.fft().direction());
+        assert_eq!(reused.fft().group_size(), power_on.fft().group_size());
+        assert_eq!(reused.fft().load_stride(), power_on.fft().load_stride());
+
+        let got = run(&mut reused);
+        assert_eq!(got, want, "statistics incl. cache counters");
+        assert_eq!(reused.regs, fresh.regs);
+        assert_eq!(reused.fft().crf(), fresh.fft().crf());
+        assert_eq!(
+            reused.mem().read_complex_slice(256, 8).unwrap(),
+            fresh.mem().read_complex_slice(256, 8).unwrap()
+        );
     }
 
     #[test]

@@ -3,10 +3,14 @@
 //! golden model, on the simulated hardware, bit-exactly between the
 //! two, across sizes, directions and signal classes.
 
-use afft::asip::runner::{golden_array_fft, quantize_input, run_array_fft, AsipConfig};
+use afft::asip::program::{ProgramOptions, UnrollStyle};
+use afft::asip::runner::{
+    golden_array_fft, quantize_input, run_array_fft, run_array_fft_with_machine_config, AsipConfig,
+};
 use afft::core::reference::{dft_naive, fft_radix2_dit_f64, max_error};
 use afft::core::{ArrayFft, Direction};
 use afft::num::{twiddle, Complex, C64};
+use afft::sim::{CacheStats, MachineConfig, Stats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -147,4 +151,74 @@ fn parseval_energy_is_preserved_by_the_golden_model() {
     let ex: f64 = x.iter().map(|c| c.norm_sqr()).sum();
     let ey: f64 = y.iter().map(|c| c.norm_sqr()).sum();
     assert!((ey - ex * n as f64).abs() < 1e-6 * ex * n as f64);
+}
+
+/// Pins every ISS observable of the default forward run, so a change to
+/// how runs are set up cannot shift cycles unnoticed. A change that
+/// remodels a cost (e.g. the pre-rotation timing) updates these on
+/// purpose.
+#[test]
+fn iss_stats_are_pinned_for_the_default_forward_run() {
+    // (n, cycles, instrs, alu, mtfft, but4, coef_fetches, cache misses)
+    let table = [
+        (64, 413, 215, 22, 16, 48, 49, 1),
+        (128, 832, 408, 23, 16, 112, 105, 2),
+        (256, 1730, 824, 31, 24, 256, 225, 3),
+        (512, 3527, 1657, 32, 24, 576, 465, 5),
+        (1024, 7279, 3417, 48, 40, 1280, 961, 9),
+        (2048, 14850, 7004, 51, 40, 2816, 1953, 17),
+        (4096, 30434, 14492, 83, 72, 6144, 3969, 33),
+    ];
+    for (n, cycles, instrs, alu, mtfft, but4, coef_fetches, misses) in table {
+        let want = Stats {
+            cycles,
+            instrs,
+            alu,
+            mtfft,
+            but4,
+            // One LDIN and one STOUT beat per two points, each epoch.
+            ldin: n as u64,
+            stout: n as u64,
+            coef_fetches,
+            // On the streaming port only the coefficient fetches touch
+            // the D-cache; they only read, so nothing is written back.
+            cache: CacheStats {
+                accesses: coef_fetches,
+                misses,
+                read_misses: misses,
+                ..CacheStats::default()
+            },
+            ..Stats::default()
+        };
+        let input = quantize_input(&random_signal(n, 300 + n as u64), 0.9);
+        let run = run_array_fft(&input, Direction::Forward, &AsipConfig::default()).expect("run");
+        assert_eq!(run.stats, want, "n={n}");
+    }
+}
+
+/// Pins the `ablation` bin's three machine/program variants at N = 1024.
+#[test]
+fn ablation_variants_are_pinned_at_1024() {
+    let input = quantize_input(&random_signal(1024, 42), 0.9);
+    let run = |options: ProgramOptions, machine: MachineConfig| {
+        let cfg = AsipConfig { options, ..AsipConfig::default() };
+        run_array_fft_with_machine_config(&input, Direction::Forward, &cfg, &machine)
+            .expect("ablation run")
+            .stats
+    };
+    let cached = run(
+        ProgramOptions::default(),
+        MachineConfig { custom_ops_cached: true, ..MachineConfig::default() },
+    );
+    assert_eq!((cached.cycles, cached.cache_misses()), (7663, 201));
+    let looped = run(
+        ProgramOptions { unroll: UnrollStyle::GroupLoop, ..ProgramOptions::default() },
+        MachineConfig::default(),
+    );
+    assert_eq!(looped.cycles, 7570);
+    let noprerot = run(
+        ProgramOptions { skip_prerot: true, ..ProgramOptions::default() },
+        MachineConfig::default(),
+    );
+    assert_eq!(noprerot.cycles, 3354);
 }
