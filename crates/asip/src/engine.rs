@@ -32,12 +32,13 @@
 //! # Ok::<(), afft_core::FftError>(())
 //! ```
 
-use crate::runner::{AsipConfig, AsipError, AsipPlan};
+use crate::program::ProgramOptions;
+use crate::runner::{AsipError, AsipPlan};
 use afft_core::cached::MemTraffic;
 use afft_core::engine::{check_io, EngineRegistry, FftEngine};
 use afft_core::{Direction, FftError, Split};
 use afft_num::{Complex, C64, Q15};
-use afft_sim::Stats;
+use afft_sim::{MachineConfig, Stats};
 
 /// Fraction of Q15 full scale the input peak is normalised to before
 /// quantisation: headroom against the intermediate growth the per-stage
@@ -47,7 +48,6 @@ const QUANT_AMPLITUDE: f64 = 0.5;
 /// The cycle-accurate ASIP ISS behind the [`FftEngine`] interface.
 pub struct AsipEngine {
     n: usize,
-    cfg: AsipConfig,
     last_stats: Option<Stats>,
     /// The forward and inverse plans, each built on first use.
     plans: [Option<AsipPlan>; 2],
@@ -67,20 +67,9 @@ impl AsipEngine {
     ///
     /// Returns [`FftError::InvalidSize`] otherwise.
     pub fn new(n: usize) -> Result<Self, FftError> {
-        Self::with_config(n, AsipConfig::default())
-    }
-
-    /// Plans with explicit run configuration (timing model, program
-    /// options, cycle budget).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::InvalidSize`] for unsupported sizes.
-    pub fn with_config(n: usize, cfg: AsipConfig) -> Result<Self, FftError> {
         Split::for_size(n)?;
         Ok(AsipEngine {
             n,
-            cfg,
             last_stats: None,
             plans: [None, None],
             q15_scratch: Vec::new(),
@@ -147,7 +136,10 @@ impl FftEngine for AsipEngine {
         let slot = &mut self.plans[usize::from(matches!(dir, Direction::Inverse))];
         let plan = match slot {
             Some(plan) => plan,
-            None => slot.insert(AsipPlan::new(self.n, dir, &self.cfg).map_err(backend)?),
+            None => slot.insert(
+                AsipPlan::new(self.n, dir, ProgramOptions::default(), &MachineConfig::default())
+                    .map_err(backend)?,
+            ),
         };
         let stats = plan.run(&self.q15_scratch).map_err(backend)?;
         plan.read_output(&mut self.q15_scratch).map_err(backend)?;

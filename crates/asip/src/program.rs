@@ -10,7 +10,7 @@
 //! property the paper claims.
 
 use crate::layout::Layout;
-use afft_core::Split;
+use afft_core::{Direction, Split};
 use afft_isa::{Asm, AsmError, FftCfg, Instr, Program, Reg};
 
 /// Registers holding the constants 1..=8 used as `BUT4` operands.
@@ -54,8 +54,6 @@ pub enum UnrollStyle {
 /// Options controlling generation (ablation experiments vary these).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProgramOptions {
-    /// Run the transform in the inverse direction.
-    pub inverse: bool,
     /// Disable the multiply-on-store pre-rotation (the transform is
     /// then *wrong* across epochs — used only by the ablation that
     /// measures the pre-rotation's cost).
@@ -64,7 +62,8 @@ pub struct ProgramOptions {
     pub unroll: UnrollStyle,
 }
 
-/// Generates the array-FFT ASIP program for `split` over `layout`.
+/// Generates the array-FFT ASIP program for `split` over `layout`,
+/// transforming in direction `dir`.
 ///
 /// The program assumes the input vector at `layout.in_base` (natural
 /// order), the compressed pre-rotation table at `layout.table_base`,
@@ -79,6 +78,7 @@ pub struct ProgramOptions {
 pub fn generate_array_fft(
     split: &Split,
     layout: &Layout,
+    dir: Direction,
     opts: ProgramOptions,
 ) -> Result<Program, AsmError> {
     let straight = match opts.unroll {
@@ -87,7 +87,7 @@ pub fn generate_array_fft(
         UnrollStyle::Auto => straight_line_fits(split),
     };
     let mut a = Asm::new();
-    emit_setup(&mut a, split, layout, opts);
+    emit_setup(&mut a, split, layout, dir);
     if straight {
         emit_epoch_straight(&mut a, split, layout, opts, 0);
         emit_epoch_straight(&mut a, split, layout, opts, 1);
@@ -179,7 +179,7 @@ fn mtfft_imm(a: &mut Asm, sel: FftCfg, value: i32) {
     a.emit(Instr::Mtfft { rs: regs::SCRATCH, sel });
 }
 
-fn emit_setup(a: &mut Asm, split: &Split, layout: &Layout, opts: ProgramOptions) {
+fn emit_setup(a: &mut Asm, split: &Split, layout: &Layout, dir: Direction) {
     // Constant registers 1..=max(stage, module) for BUT4 operands; the
     // generator emits only the constants this size actually uses.
     let needed = (split.p_stages as usize).max((split.p_size / 8).min(CONST_REGS.len()));
@@ -188,7 +188,7 @@ fn emit_setup(a: &mut Asm, split: &Split, layout: &Layout, opts: ProgramOptions)
     }
     mtfft_imm(a, FftCfg::NLog2, split.log2_n as i32);
     mtfft_imm(a, FftCfg::PrerotBase, layout.table_base as i32);
-    if opts.inverse {
+    if dir == Direction::Inverse {
         mtfft_imm(a, FftCfg::InverseEnable, 1);
     }
 }
@@ -266,7 +266,8 @@ fn emit_epoch(a: &mut Asm, split: &Split, layout: &Layout, opts: ProgramOptions,
 
 /// Predicted dynamic instruction counts of the generated program — the
 /// analytical form of Algorithm 1's cost, used by tests to pin the
-/// generator and by EXPERIMENTS.md to explain Table I.
+/// generator and to check that it lands in the regime of Table I's
+/// cycle counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstrBudget {
     /// `LDIN` count (`N/2` per epoch).
@@ -311,7 +312,9 @@ mod tests {
         for n in [64usize, 128, 256, 512, 1024, 2048, 4096] {
             let split = Split::for_size(n).unwrap();
             let layout = Layout::for_size(n);
-            let p = generate_array_fft(&split, &layout, ProgramOptions::default()).unwrap();
+            let p =
+                generate_array_fft(&split, &layout, Direction::Forward, ProgramOptions::default())
+                    .unwrap();
             assert!(!p.is_empty(), "n={n}");
             // Static structure: straight-line code emits every dynamic
             // LDIN (N/2 per epoch).
@@ -328,7 +331,13 @@ mod tests {
         for n in [4096usize, 8192] {
             let split = Split::for_size(n).unwrap();
             let layout = Layout::for_size(n);
-            assert!(generate_array_fft(&split, &layout, ProgramOptions::default()).is_ok());
+            assert!(generate_array_fft(
+                &split,
+                &layout,
+                Direction::Forward,
+                ProgramOptions::default()
+            )
+            .is_ok());
         }
     }
 

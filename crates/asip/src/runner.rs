@@ -1,6 +1,6 @@
-//! High-level drivers: plan a generated program on the ISS once per
-//! `(N, direction)` ([`AsipPlan`]), then stage inputs, run and collect
-//! outputs and statistics as often as needed.
+//! The one driver of the Algorithm-1 program: plan it on the ISS once
+//! per `(N, direction)` ([`AsipPlan`]), then stage inputs, run and
+//! collect outputs and statistics as often as needed.
 
 use crate::layout::Layout;
 use crate::program::{generate_array_fft, ProgramOptions};
@@ -8,7 +8,7 @@ use afft_core::address::transposed_to_natural_bin;
 use afft_core::{ArrayFft, Direction, FftError, Scaling, Split};
 use afft_isa::AsmError;
 use afft_num::{twiddle_q15, Complex, C64, Q15};
-use afft_sim::{Machine, MachineConfig, SimError, Stats, Timing};
+use afft_sim::{Machine, MachineConfig, SimError, Stats};
 use core::fmt;
 
 /// Error from a high-level ASIP run.
@@ -51,38 +51,10 @@ impl From<SimError> for AsipError {
     }
 }
 
-/// Result of one simulated transform.
-#[derive(Debug, Clone)]
-pub struct AsipRun {
-    /// The spectrum in natural bin order (scaled by `1/N` by the
-    /// per-stage datapath scaling).
-    pub output: Vec<Complex<Q15>>,
-    /// The raw hardware-order output as it sits in memory.
-    pub output_transposed: Vec<Complex<Q15>>,
-    /// Execution statistics (cycles, instruction classes, cache).
-    pub stats: Stats,
-}
-
-/// Configuration of an ASIP run.
-#[derive(Debug, Clone, Copy)]
-pub struct AsipConfig {
-    /// Latency model (shared with the baselines for fair comparison).
-    pub timing: Timing,
-    /// Program-generation options.
-    pub options: ProgramOptions,
-    /// Cycle budget before declaring a hang.
-    pub max_cycles: u64,
-}
-
-impl Default for AsipConfig {
-    fn default() -> Self {
-        AsipConfig {
-            timing: Timing::default(),
-            options: ProgramOptions::default(),
-            max_cycles: 500_000_000,
-        }
-    }
-}
+/// Cycle budget of one [`AsipPlan::run`] before the simulator declares
+/// a hang: a guard far above any planned program (N = 4096 takes about
+/// 30k cycles).
+const MAX_CYCLES: u64 = 500_000_000;
 
 /// Quantises an `f64` signal into the ASIP's Q15 wire format, scaling
 /// by `amplitude` to stay inside `[-1, 1)`.
@@ -100,11 +72,18 @@ pub fn quantize_input(input: &[C64], amplitude: f64) -> Vec<Complex<Q15>> {
 /// # Examples
 ///
 /// ```
-/// use afft_asip::runner::{AsipConfig, AsipPlan};
+/// use afft_asip::program::ProgramOptions;
+/// use afft_asip::runner::AsipPlan;
 /// use afft_core::Direction;
 /// use afft_num::{Complex, Q15};
+/// use afft_sim::MachineConfig;
 ///
-/// let mut plan = AsipPlan::new(64, Direction::Forward, &AsipConfig::default())?;
+/// let mut plan = AsipPlan::new(
+///     64,
+///     Direction::Forward,
+///     ProgramOptions::default(),
+///     &MachineConfig::default(),
+/// )?;
 /// let mut impulse = vec![Complex::zero(); 64];
 /// impulse[0].re = Q15::from_f64(0.5);
 /// let mut spectrum = vec![Complex::zero(); 64];
@@ -123,44 +102,31 @@ pub struct AsipPlan {
     /// `natural_bin[a]` is the natural-order bin of the point the
     /// program stores at transposed output index `a`.
     natural_bin: Vec<usize>,
-    max_cycles: u64,
 }
 
 impl AsipPlan {
-    /// Plans an `n`-point transform in direction `dir` on the default
-    /// machine.
+    /// Plans an `n`-point transform in direction `dir`: generates the
+    /// program with `options` and loads it into a machine built from
+    /// `machine_cfg` (timing, cache geometry, streaming-port ablation
+    /// flag, ...). CRF capacity and memory size come from the
+    /// transform size: memory is exactly the layout's `mem_bytes`, so a
+    /// stray access traps [`SimError::BadAddress`].
     ///
     /// # Errors
     ///
     /// Returns [`AsipError`] for invalid sizes or generation failures.
-    pub fn new(n: usize, dir: Direction, cfg: &AsipConfig) -> Result<Self, AsipError> {
-        Self::with_machine_config(n, dir, cfg, &MachineConfig::default())
-    }
-
-    /// [`AsipPlan::new`] with explicit machine parameters (cache
-    /// geometry, streaming-port ablation flag, ...). CRF capacity and
-    /// memory size come from the transform size: memory is exactly the
-    /// layout's `mem_bytes`, so a stray access traps
-    /// [`SimError::BadAddress`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`AsipPlan::new`].
-    pub fn with_machine_config(
+    pub fn new(
         n: usize,
         dir: Direction,
-        cfg: &AsipConfig,
+        options: ProgramOptions,
         machine_cfg: &MachineConfig,
     ) -> Result<Self, AsipError> {
         let split = Split::for_size(n)?;
         let layout = Layout::for_size(n);
-        let mut options = cfg.options;
-        options.inverse = matches!(dir, Direction::Inverse);
-        let program = generate_array_fft(&split, &layout, options)?;
+        let program = generate_array_fft(&split, &layout, dir, options)?;
 
         let mut machine = Machine::new(MachineConfig {
             mem_bytes: layout.mem_bytes,
-            timing: cfg.timing,
             crf_capacity: split.p_size,
             ..*machine_cfg
         });
@@ -171,7 +137,7 @@ impl AsipPlan {
         }
         machine.load_program(program);
         let natural_bin = (0..n).map(|addr| transposed_to_natural_bin(&split, addr)).collect();
-        Ok(AsipPlan { layout, machine, natural_bin, max_cycles: cfg.max_cycles })
+        Ok(AsipPlan { layout, machine, natural_bin })
     }
 
     /// Transform size.
@@ -190,7 +156,7 @@ impl AsipPlan {
     }
 
     /// Mutable access to the planned machine, for drivers that run it
-    /// their own way (warm reruns, profiling).
+    /// their own way (the per-PC profiler).
     pub fn machine_mut(&mut self) -> &mut Machine {
         &mut self.machine
     }
@@ -214,11 +180,11 @@ impl AsipPlan {
     /// # Errors
     ///
     /// Length mismatches as for [`AsipPlan::stage`]; simulator traps,
-    /// including [`SimError::CycleLimit`] past the configured budget.
+    /// including [`SimError::CycleLimit`] if the program hangs.
     pub fn run(&mut self, input: &[Complex<Q15>]) -> Result<Stats, AsipError> {
         self.stage(input)?;
         self.machine.restart();
-        Ok(self.machine.run(self.max_cycles)?)
+        Ok(self.machine.run(MAX_CYCLES)?)
     }
 
     /// Reads the spectrum the last run left in memory into `output`, in
@@ -246,47 +212,7 @@ impl AsipPlan {
     }
 }
 
-/// Runs the array-FFT ASIP program for `input` (already quantised):
-/// plans the transform ([`AsipPlan`]), runs it once and gathers the
-/// output. Callers that transform more than once should keep an
-/// [`AsipPlan`] instead.
-///
-/// # Errors
-///
-/// Returns [`AsipError`] for invalid sizes, generation failures or
-/// simulator traps.
-pub fn run_array_fft(
-    input: &[Complex<Q15>],
-    dir: Direction,
-    cfg: &AsipConfig,
-) -> Result<AsipRun, AsipError> {
-    run_array_fft_with_machine_config(input, dir, cfg, &MachineConfig::default())
-}
-
-/// [`run_array_fft`] with explicit machine parameters (cache geometry,
-/// streaming-port ablation flag, ...). Memory size and CRF capacity are
-/// still derived from the transform size, as for
-/// [`AsipPlan::with_machine_config`].
-///
-/// # Errors
-///
-/// As for [`run_array_fft`].
-pub fn run_array_fft_with_machine_config(
-    input: &[Complex<Q15>],
-    dir: Direction,
-    cfg: &AsipConfig,
-    machine_cfg: &MachineConfig,
-) -> Result<AsipRun, AsipError> {
-    let mut plan = AsipPlan::with_machine_config(input.len(), dir, cfg, machine_cfg)?;
-    let stats = plan.run(input)?;
-    let mut output = vec![Complex::zero(); input.len()];
-    plan.read_output(&mut output)?;
-    let output_transposed =
-        plan.machine.mem().read_complex_slice(plan.layout.out_base, input.len())?;
-    Ok(AsipRun { output, output_transposed, stats })
-}
-
-/// The golden prediction for [`run_array_fft`]: the `afft-core`
+/// The golden prediction for [`AsipPlan::run`]: the `afft-core`
 /// software model with the same fixed-point datapath. The ISS result
 /// must match this **bit-exactly** (asserted by integration tests).
 ///
@@ -305,6 +231,7 @@ pub fn golden_array_fft(
 mod tests {
     use super::*;
     use afft_core::reference::{dft_naive, max_error};
+    use afft_sim::Timing;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -320,30 +247,49 @@ mod tests {
             .collect()
     }
 
+    /// Plans `input.len()` points on `machine_cfg`, runs `input` once and
+    /// returns the natural-order spectrum and the run's statistics.
+    fn run_once(
+        input: &[Complex<Q15>],
+        dir: Direction,
+        machine_cfg: &MachineConfig,
+    ) -> (Vec<Complex<Q15>>, Stats) {
+        let mut plan =
+            AsipPlan::new(input.len(), dir, ProgramOptions::default(), machine_cfg).unwrap();
+        let stats = plan.run(input).unwrap();
+        let mut output = vec![Complex::zero(); input.len()];
+        plan.read_output(&mut output).unwrap();
+        (output, stats)
+    }
+
+    fn run_default(input: &[Complex<Q15>], dir: Direction) -> (Vec<Complex<Q15>>, Stats) {
+        run_once(input, dir, &MachineConfig::default())
+    }
+
     #[test]
     fn iss_matches_golden_bit_exactly_64() {
         let input = random_input(64, 1);
-        let run = run_array_fft(&input, Direction::Forward, &AsipConfig::default()).unwrap();
+        let (output, _) = run_default(&input, Direction::Forward);
         let golden = golden_array_fft(&input, Direction::Forward).unwrap();
-        assert_eq!(run.output, golden, "ISS and software model disagree");
+        assert_eq!(output, golden, "ISS and software model disagree");
     }
 
     #[test]
     fn iss_matches_golden_bit_exactly_256() {
         let input = random_input(256, 2);
-        let run = run_array_fft(&input, Direction::Forward, &AsipConfig::default()).unwrap();
+        let (output, _) = run_default(&input, Direction::Forward);
         let golden = golden_array_fft(&input, Direction::Forward).unwrap();
-        assert_eq!(run.output, golden);
+        assert_eq!(output, golden);
     }
 
     #[test]
     fn iss_output_approximates_true_dft() {
         let n = 128;
         let input = random_input(n, 3);
-        let run = run_array_fft(&input, Direction::Forward, &AsipConfig::default()).unwrap();
+        let (output, _) = run_default(&input, Direction::Forward);
         let exact_in: Vec<C64> = input.iter().map(|c| c.to_c64()).collect();
         let want = dft_naive(&exact_in, Direction::Forward).unwrap();
-        let got: Vec<C64> = run.output.iter().map(|c| c.to_c64() * n as f64).collect();
+        let got: Vec<C64> = output.iter().map(|c| c.to_c64() * n as f64).collect();
         let scale = want.iter().map(|c| c.abs()).fold(0.0, f64::max);
         assert!(max_error(&got, &want) / scale < 0.03);
     }
@@ -352,29 +298,67 @@ mod tests {
     fn instruction_counts_match_algorithm_1() {
         let n = 1024;
         let input = random_input(n, 4);
-        let run = run_array_fft(&input, Direction::Forward, &AsipConfig::default()).unwrap();
-        assert_eq!(run.stats.ldin, 1024);
-        assert_eq!(run.stats.stout, 1024);
-        assert_eq!(run.stats.but4, 1280);
+        let (_, stats) = run_default(&input, Direction::Forward);
+        assert_eq!(stats.ldin, 1024);
+        assert_eq!(stats.stout, 1024);
+        assert_eq!(stats.but4, 1280);
         // Non-trivial pre-rotations only: (P-1)(Q-1) = 31*31.
-        assert_eq!(run.stats.coef_fetches, 961);
+        assert_eq!(stats.coef_fetches, 961);
         // Table-II-style counts: loads ~ N, stores ~ N.
-        assert_eq!(run.stats.table_loads(), 1024);
-        assert_eq!(run.stats.table_stores(), 1024);
+        assert_eq!(stats.table_loads(), 1024);
+        assert_eq!(stats.table_stores(), 1024);
+    }
+
+    #[test]
+    fn plan_honours_the_callers_timing() {
+        // `coef_fetch` is charged once per coefficient fetch, so cutting
+        // it from 4 to 1 must save exactly 3 cycles per fetch.
+        let input = random_input(1024, 4);
+        let (_, base) = run_default(&input, Direction::Forward);
+        let fast = MachineConfig {
+            timing: Timing { coef_fetch: 1, ..Timing::default() },
+            ..MachineConfig::default()
+        };
+        let (_, cheap) = run_once(&input, Direction::Forward, &fast);
+        assert_eq!(Timing::default().coef_fetch, 4);
+        assert_eq!((base.cycles, base.coef_fetches), (7279, 961));
+        assert_eq!(cheap.cycles, base.cycles - 3 * base.coef_fetches);
+        assert_eq!(cheap.cycles, 4396);
+    }
+
+    #[test]
+    fn rejects_wrong_symbol_length() {
+        let mut plan = AsipPlan::new(
+            64,
+            Direction::Forward,
+            ProgramOptions::default(),
+            &MachineConfig::default(),
+        )
+        .unwrap();
+        let mismatch = Some(FftError::LengthMismatch { expected: 64, got: 128 });
+        let fft_error = |e: AsipError| match e {
+            AsipError::Fft(e) => Some(e),
+            _ => None,
+        };
+        assert_eq!(plan.run(&random_input(128, 0)).err().and_then(fft_error), mismatch);
+        let read = plan.read_output(&mut vec![Complex::zero(); 128]);
+        assert_eq!(read.err().and_then(fft_error), mismatch);
+        assert_eq!(plan.len(), 64);
+        assert!(!plan.is_empty());
     }
 
     #[test]
     fn inverse_round_trips() {
         let n = 64;
         let input = random_input(n, 5);
-        let fwd = run_array_fft(&input, Direction::Forward, &AsipConfig::default()).unwrap();
-        let back = run_array_fft(&fwd.output, Direction::Inverse, &AsipConfig::default()).unwrap();
+        let (fwd, _) = run_default(&input, Direction::Forward);
+        let (back, _) = run_default(&fwd, Direction::Inverse);
         // Forward scales by 1/N, inverse by 1/N, and IDFT needs 1/N:
         // net output = input / N. Compare rescaled. Rescaling by N
         // amplifies the Q15 LSB to N/32768 per rounding step, and two
         // cascaded transforms stack those errors, so the worst-case
         // deviation sits near 0.1 for unlucky signals.
-        let got: Vec<C64> = back.output.iter().map(|c| c.to_c64() * n as f64).collect();
+        let got: Vec<C64> = back.iter().map(|c| c.to_c64() * n as f64).collect();
         let want: Vec<C64> = input.iter().map(|c| c.to_c64()).collect();
         assert!(max_error(&got, &want) < 0.1);
     }

@@ -16,7 +16,7 @@ use crate::softfloat::{emit_softfloat_lib, ADDSF, MULSF, SUBSF};
 use afft_core::{Direction, FftError};
 use afft_isa::{Asm, Instr, Program, Reg};
 use afft_num::{Complex, C64};
-use afft_sim::{Machine, MachineConfig, Stats, Timing};
+use afft_sim::{Machine, MachineConfig, Stats};
 
 const GP: Reg = Reg::GP; // float data base
 const K0: Reg = Reg::K0; // twiddle table base
@@ -181,6 +181,11 @@ fn emit_butterfly(a: &mut Asm) {
     a.emit(Sw { rt: Reg::V0, base: Reg::S5, offset: 4 });
 }
 
+/// Cycle budget of one [`run_software_fft`] before the simulator
+/// declares a hang; the soft-float program at N = 1024 needs a few
+/// million.
+const MAX_CYCLES: u64 = 100_000_000;
+
 /// Result of an Imple-1 run.
 #[derive(Debug, Clone)]
 pub struct SwFftRun {
@@ -190,26 +195,18 @@ pub struct SwFftRun {
     pub stats: Stats,
 }
 
-/// Stages data + twiddles, runs the Imple-1 program, reads back the
-/// spectrum.
+/// Stages data + twiddles, runs the Imple-1 program on the default
+/// machine, reads back the spectrum.
 ///
 /// # Errors
 ///
 /// Returns [`AsipError`] for invalid sizes or simulator traps.
-pub fn run_software_fft(
-    input: &[C64],
-    dir: Direction,
-    timing: Timing,
-    max_cycles: u64,
-) -> Result<SwFftRun, AsipError> {
+pub fn run_software_fft(input: &[C64], dir: Direction) -> Result<SwFftRun, AsipError> {
     let n = input.len();
     let layout = Layout::for_size(n);
     let program = generate_software_fft(&layout)?;
-    let mut m = Machine::new(MachineConfig {
-        mem_bytes: layout.mem_bytes,
-        timing,
-        ..MachineConfig::default()
-    });
+    let mut m =
+        Machine::new(MachineConfig { mem_bytes: layout.mem_bytes, ..MachineConfig::default() });
     for (i, &c) in input.iter().enumerate() {
         let base = layout.float_base + 8 * i as u32;
         m.mem_mut().write_u32(base, (c.re as f32).to_bits())?;
@@ -222,7 +219,7 @@ pub fn run_software_fft(
         m.mem_mut().write_u32(base + 4, (w.im as f32).to_bits())?;
     }
     m.load_program(program);
-    let stats = m.run(max_cycles)?;
+    let stats = m.run(MAX_CYCLES)?;
     let mut output = Vec::with_capacity(n);
     for i in 0..n {
         let base = layout.float_base + 8 * i as u32;
@@ -248,7 +245,7 @@ mod tests {
     #[test]
     fn software_fft_matches_reference_16() {
         let x = random_signal(16, 1);
-        let run = run_software_fft(&x, Direction::Forward, Timing::default(), 50_000_000).unwrap();
+        let run = run_software_fft(&x, Direction::Forward).unwrap();
         let want = dft_naive(&x, Direction::Forward).unwrap();
         assert!(max_error(&run.output, &want) < 1e-3, "f32 FFT deviates");
     }
@@ -256,7 +253,7 @@ mod tests {
     #[test]
     fn software_fft_matches_reference_64() {
         let x = random_signal(64, 2);
-        let run = run_software_fft(&x, Direction::Forward, Timing::default(), 50_000_000).unwrap();
+        let run = run_software_fft(&x, Direction::Forward).unwrap();
         let want = dft_naive(&x, Direction::Forward).unwrap();
         assert!(max_error(&run.output, &want) < 1e-2);
     }
@@ -264,7 +261,7 @@ mod tests {
     #[test]
     fn cycle_profile_is_soft_float_dominated() {
         let x = random_signal(64, 3);
-        let run = run_software_fft(&x, Direction::Forward, Timing::default(), 50_000_000).unwrap();
+        let run = run_software_fft(&x, Direction::Forward).unwrap();
         let butterflies = 64 / 2 * 6; // N/2 log2 N
         let per_bfly = run.stats.cycles as f64 / butterflies as f64;
         // The paper's Imple-1 regime: hundreds of cycles per butterfly.
@@ -277,9 +274,8 @@ mod tests {
     fn inverse_twiddles_give_inverse_transform() {
         let n = 16;
         let x = random_signal(n, 4);
-        let fwd = run_software_fft(&x, Direction::Forward, Timing::default(), 50_000_000).unwrap();
-        let inv = run_software_fft(&fwd.output, Direction::Inverse, Timing::default(), 50_000_000)
-            .unwrap();
+        let fwd = run_software_fft(&x, Direction::Forward).unwrap();
+        let inv = run_software_fft(&fwd.output, Direction::Inverse).unwrap();
         let got: Vec<C64> = inv.output.iter().map(|&v| v * (1.0 / n as f64)).collect();
         assert!(max_error(&got, &x) < 1e-2);
     }

@@ -16,7 +16,7 @@ use crate::runner::AsipError;
 use afft_core::{Direction, FftError};
 use afft_isa::{Asm, Instr, Program, Reg};
 use afft_num::{twiddle_q15, Complex, Q15};
-use afft_sim::{Machine, MachineConfig, Stats, Timing};
+use afft_sim::{Machine, MachineConfig, Stats};
 
 /// Generates the optimised fixed-point FFT program.
 ///
@@ -141,6 +141,10 @@ pub fn generate_fixed_fft(layout: &Layout) -> Result<Program, FftError> {
     })
 }
 
+/// Cycle budget of one [`run_fixed_fft`] before the simulator declares
+/// a hang.
+const MAX_CYCLES: u64 = 100_000_000;
+
 /// Result of an optimised fixed-point software run.
 #[derive(Debug, Clone)]
 pub struct FixedFftRun {
@@ -150,25 +154,18 @@ pub struct FixedFftRun {
     pub stats: Stats,
 }
 
-/// Stages data + twiddles, runs the optimised fixed-point FFT.
+/// Stages data + twiddles, runs the optimised fixed-point FFT on the
+/// default machine.
 ///
 /// # Errors
 ///
 /// Returns [`AsipError`] for invalid sizes or simulator traps.
-pub fn run_fixed_fft(
-    input: &[Complex<Q15>],
-    dir: Direction,
-    timing: Timing,
-    max_cycles: u64,
-) -> Result<FixedFftRun, AsipError> {
+pub fn run_fixed_fft(input: &[Complex<Q15>], dir: Direction) -> Result<FixedFftRun, AsipError> {
     let n = input.len();
     let layout = Layout::for_size(n);
     let program = generate_fixed_fft(&layout)?;
-    let mut m = Machine::new(MachineConfig {
-        mem_bytes: layout.mem_bytes,
-        timing,
-        ..MachineConfig::default()
-    });
+    let mut m =
+        Machine::new(MachineConfig { mem_bytes: layout.mem_bytes, ..MachineConfig::default() });
     m.mem_mut().write_complex_slice(layout.in_base, input)?;
     for k in 0..n / 2 {
         let mut w = twiddle_q15(n, k);
@@ -178,7 +175,7 @@ pub fn run_fixed_fft(
         m.mem_mut().write_complex(layout.table_base + 4 * k as u32, w)?;
     }
     m.load_program(program);
-    let stats = m.run(max_cycles)?;
+    let stats = m.run(MAX_CYCLES)?;
     let output = m.mem().read_complex_slice(layout.in_base, n)?;
     Ok(FixedFftRun { output, stats })
 }
@@ -207,7 +204,7 @@ mod tests {
     fn fixed_fft_matches_reference() {
         for n in [64usize, 256] {
             let x = signal(n, n as u64);
-            let run = run_fixed_fft(&x, Direction::Forward, Timing::default(), 50_000_000).unwrap();
+            let run = run_fixed_fft(&x, Direction::Forward).unwrap();
             let exact_in: Vec<C64> = x.iter().map(|c| c.to_c64()).collect();
             let want = dft_naive(&exact_in, Direction::Forward).unwrap();
             let got: Vec<C64> = run.output.iter().map(|c| c.to_c64() * n as f64).collect();
@@ -222,17 +219,25 @@ mod tests {
 
     #[test]
     fn sits_between_soft_float_and_the_asip() {
-        use crate::runner::{run_array_fft, AsipConfig};
+        use crate::program::ProgramOptions;
+        use crate::runner::AsipPlan;
         let n = 256;
         let x = signal(n, 1);
-        let fixed = run_fixed_fft(&x, Direction::Forward, Timing::default(), 50_000_000).unwrap();
-        let asip = run_array_fft(&x, Direction::Forward, &AsipConfig::default()).unwrap();
+        let fixed = run_fixed_fft(&x, Direction::Forward).unwrap();
+        let mut plan = AsipPlan::new(
+            n,
+            Direction::Forward,
+            ProgramOptions::default(),
+            &MachineConfig::default(),
+        )
+        .unwrap();
+        let asip = plan.run(&x).unwrap();
         let butterflies = (n / 2) as u64 * 8;
         let per_bfly = fixed.stats.cycles as f64 / butterflies as f64;
         // Optimised software regime: tens of cycles per butterfly.
         assert!(per_bfly > 25.0 && per_bfly < 90.0, "cycles/butterfly {per_bfly}");
         // The ASIP still wins by an order of magnitude.
-        let factor = fixed.stats.cycles as f64 / asip.stats.cycles as f64;
+        let factor = fixed.stats.cycles as f64 / asip.cycles as f64;
         assert!(factor > 8.0, "ASIP factor over optimised software: {factor}");
     }
 
@@ -240,9 +245,8 @@ mod tests {
     fn inverse_round_trip() {
         let n = 64;
         let x = signal(n, 2);
-        let fwd = run_fixed_fft(&x, Direction::Forward, Timing::default(), 50_000_000).unwrap();
-        let inv =
-            run_fixed_fft(&fwd.output, Direction::Inverse, Timing::default(), 50_000_000).unwrap();
+        let fwd = run_fixed_fft(&x, Direction::Forward).unwrap();
+        let inv = run_fixed_fft(&fwd.output, Direction::Inverse).unwrap();
         let got: Vec<C64> = inv.output.iter().map(|c| c.to_c64() * n as f64).collect();
         let want: Vec<C64> = x.iter().map(|c| c.to_c64()).collect();
         assert!(max_error(&got, &want) < 0.06);

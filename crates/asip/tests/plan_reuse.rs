@@ -1,13 +1,15 @@
 //! Reusing a plan leaks no state between runs: one `AsipPlan` and one
 //! `AsipEngine` per size, alternating forward and inverse over zero,
-//! full-scale and random inputs, must reproduce a freshly built
-//! `run_array_fft` bit for bit, statistics included. N = 8192 runs the
+//! full-scale and random inputs, must reproduce a freshly built plan's
+//! first run bit for bit, statistics included. N = 8192 runs the
 //! group-loop program the generator falls back to past N = 4096.
 
 use afft_asip::engine::AsipEngine;
-use afft_asip::runner::{quantize_input, run_array_fft, AsipConfig, AsipPlan};
+use afft_asip::program::ProgramOptions;
+use afft_asip::runner::{quantize_input, AsipPlan};
 use afft_core::{Direction, FftEngine};
-use afft_num::{Complex, C64, Q15};
+use afft_num::{Complex, C64, CQ15, Q15};
+use afft_sim::{MachineConfig, Stats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -26,18 +28,27 @@ fn inputs(n: usize) -> Vec<Vec<C64>> {
     vec![vec![C64::zero(); n], full_scale.collect(), random(), random()]
 }
 
+fn plan(n: usize, dir: Direction) -> AsipPlan {
+    AsipPlan::new(n, dir, ProgramOptions::default(), &MachineConfig::default()).expect("plan")
+}
+
+/// The first run of a freshly built plan: spectrum and statistics.
+fn fresh_run(x: &[CQ15], dir: Direction) -> (Vec<CQ15>, Stats) {
+    let mut fresh = plan(x.len(), dir);
+    let stats = fresh.run(x).expect("fresh run");
+    let mut output = vec![Complex::zero(); x.len()];
+    fresh.read_output(&mut output).expect("read");
+    (output, stats)
+}
+
 fn directions() -> impl Iterator<Item = Direction> {
     [Direction::Forward, Direction::Inverse].into_iter().cycle()
 }
 
 #[test]
 fn a_reused_plan_matches_a_fresh_run_bit_for_bit() {
-    let cfg = AsipConfig::default();
     for n in SIZES {
-        let mut plans = [
-            AsipPlan::new(n, Direction::Forward, &cfg).expect("plan"),
-            AsipPlan::new(n, Direction::Inverse, &cfg).expect("plan"),
-        ];
+        let mut plans = [plan(n, Direction::Forward), plan(n, Direction::Inverse)];
         let mut output = vec![Complex::zero(); n];
         // Each input twice, so both plans see every input.
         let sequence = inputs(n).into_iter().flat_map(|x| [x.clone(), x]);
@@ -46,16 +57,15 @@ fn a_reused_plan_matches_a_fresh_run_bit_for_bit() {
             let plan = &mut plans[usize::from(dir == Direction::Inverse)];
             let stats = plan.run(&x).expect("plan run");
             plan.read_output(&mut output).expect("read");
-            let fresh = run_array_fft(&x, dir, &cfg).expect("fresh run");
-            assert_eq!(output, fresh.output, "n={n}, call {call}: spectrum");
-            assert_eq!(stats, fresh.stats, "n={n}, call {call}: statistics");
+            let (fresh_output, fresh_stats) = fresh_run(&x, dir);
+            assert_eq!(output, fresh_output, "n={n}, call {call}: spectrum");
+            assert_eq!(stats, fresh_stats, "n={n}, call {call}: statistics");
         }
     }
 }
 
 #[test]
 fn a_reused_engine_matches_a_fresh_run_bit_for_bit() {
-    let cfg = AsipConfig::default();
     for n in SIZES {
         let mut engine = AsipEngine::new(n).expect("engine");
         let mut output = vec![C64::zero(); n];
@@ -67,11 +77,11 @@ fn a_reused_engine_matches_a_fresh_run_bit_for_bit() {
             // Q15 full scale, rescaled by N on the way out.
             let peak = x.iter().map(|c| c.re.abs().max(c.im.abs())).fold(0.0, f64::max);
             let scale = if peak > 0.0 { 0.5 / peak } else { 1.0 };
-            let fresh = run_array_fft(&quantize_input(&x, scale), dir, &cfg).expect("fresh run");
+            let (fresh_output, fresh_stats) = fresh_run(&quantize_input(&x, scale), dir);
             let restore = n as f64 / scale;
-            let want: Vec<C64> = fresh.output.iter().map(|q| q.to_c64() * restore).collect();
+            let want: Vec<C64> = fresh_output.iter().map(|q| q.to_c64() * restore).collect();
             assert_eq!(output, want, "n={n}, call {call}: spectrum");
-            assert_eq!(engine.last_stats(), Some(fresh.stats), "n={n}, call {call}: statistics");
+            assert_eq!(engine.last_stats(), Some(fresh_stats), "n={n}, call {call}: statistics");
         }
     }
 }

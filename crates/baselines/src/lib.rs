@@ -14,8 +14,9 @@
 //!   their FFT algorithm is the load and store operations"), vector
 //!   2-point memory operations.
 //!
-//! DESIGN.md §3 records why these substitutions preserve the paper's
-//! observables (cycles, loads, stores, D-cache misses).
+//! Every Table II observable (cycles, loads, stores, D-cache misses) is
+//! a function of that trace and those rules, so the models report the
+//! same observables without reproducing either instruction set.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

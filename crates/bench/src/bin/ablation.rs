@@ -1,5 +1,5 @@
-//! Experiment E6 — ablations of the design choices DESIGN.md calls out,
-//! all at 1024 points:
+//! Experiment E6 — ablations of four design choices of the paper's
+//! ASIP, all at 1024 points:
 //!
 //! 1. **CRF streaming port vs cached custom ops** — what the custom
 //!    register file buys over routing `LDIN`/`STOUT` through the
@@ -13,33 +13,22 @@
 //!    loads+stores (the paper's Section II motivation).
 
 use afft_asip::program::{ProgramOptions, UnrollStyle};
-use afft_asip::runner::{run_array_fft, AsipConfig};
+use afft_asip::runner::AsipPlan;
 use afft_bench::workload::random_signal_q15;
 use afft_core::cached::{cached_fft, plain_fft_traffic};
 use afft_core::mcfft::Epochs;
 use afft_core::Direction;
-use afft_sim::{MachineConfig, Timing};
+use afft_sim::MachineConfig;
 
 fn run_with(
     input: &[afft_num::CQ15],
     options: ProgramOptions,
     custom_ops_cached: bool,
 ) -> afft_sim::Stats {
-    // Reuse the runner but with a tweaked machine: easiest through the
-    // public API knobs.
-    let cfg = AsipConfig { timing: Timing::default(), options, max_cycles: 500_000_000 };
-    if custom_ops_cached {
-        afft_asip::runner::run_array_fft_with_machine_config(
-            input,
-            Direction::Forward,
-            &cfg,
-            &MachineConfig { custom_ops_cached: true, ..MachineConfig::default() },
-        )
+    let machine = MachineConfig { custom_ops_cached, ..MachineConfig::default() };
+    AsipPlan::new(input.len(), Direction::Forward, options, &machine)
+        .and_then(|mut plan| plan.run(input))
         .expect("ablation run")
-        .stats
-    } else {
-        run_array_fft(input, Direction::Forward, &cfg).expect("ablation run").stats
-    }
 }
 
 fn main() {
@@ -89,13 +78,8 @@ fn main() {
     );
     println!();
 
-    let fixed_sw = afft_asip::swfft_fixed::run_fixed_fft(
-        &input,
-        Direction::Forward,
-        Timing::default(),
-        100_000_000,
-    )
-    .expect("fixed software FFT");
+    let fixed_sw = afft_asip::swfft_fixed::run_fixed_fft(&input, Direction::Forward)
+        .expect("fixed software FFT");
     println!("4. optimised fixed-point *software* FFT on the same base core:");
     println!(
         "  cycles {}  =>  the custom hardware is still worth {:.1}X beyond dropping soft-float",

@@ -3,13 +3,14 @@
 //! paper reports 1024 only; this shows the crossover-free dominance of
 //! the array ASIP over the whole WiMAX/UWB range).
 
-use afft_asip::runner::{run_array_fft, AsipConfig};
+use afft_asip::program::ProgramOptions;
+use afft_asip::runner::AsipPlan;
 use afft_asip::swfft::run_software_fft;
 use afft_baselines::{ti, xtensa};
 use afft_bench::row;
 use afft_bench::workload::{random_signal, random_signal_q15};
 use afft_core::Direction;
-use afft_sim::Timing;
+use afft_sim::MachineConfig;
 
 fn main() {
     println!("cycles across sizes (Imple1 capped at 1024 for runtime)");
@@ -29,25 +30,20 @@ fn main() {
             &widths
         )
     );
+    let machine = MachineConfig::default();
     for n in [64usize, 128, 256, 512, 1024, 2048, 4096] {
-        let ours =
-            run_array_fft(&random_signal_q15(n, 1), Direction::Forward, &AsipConfig::default())
-                .expect("asip")
-                .stats
-                .cycles;
+        let ours = AsipPlan::new(n, Direction::Forward, ProgramOptions::default(), &machine)
+            .and_then(|mut plan| plan.run(&random_signal_q15(n, 1)))
+            .expect("asip")
+            .cycles;
         let ti_c = ti::run_ti_fft(n, &ti::TiConfig::default()).cycles;
         let xt_c = xtensa::run_xtensa_fft(n, &xtensa::XtensaConfig::default()).cycles;
         let sw_c = if n <= 1024 {
             Some(
-                run_software_fft(
-                    &random_signal(n, 1),
-                    Direction::Forward,
-                    Timing::default(),
-                    100_000_000,
-                )
-                .expect("sw")
-                .stats
-                .cycles,
+                run_software_fft(&random_signal(n, 1), Direction::Forward)
+                    .expect("sw")
+                    .stats
+                    .cycles,
             )
         } else {
             None

@@ -87,17 +87,24 @@ fn main() {
 
     println!();
     {
-        use afft_asip::runner::{run_array_fft, AsipConfig};
+        use afft_asip::program::ProgramOptions;
+        use afft_asip::runner::AsipPlan;
         use afft_bench::workload::random_signal_q15;
         use afft_core::Direction;
         use afft_hwmodel::energy_per_transform_nj;
-        let run =
-            run_array_fft(&random_signal_q15(1024, 1), Direction::Forward, &AsipConfig::default())
-                .expect("ASIP run");
+        use afft_sim::MachineConfig;
+        let stats = AsipPlan::new(
+            1024,
+            Direction::Forward,
+            ProgramOptions::default(),
+            &MachineConfig::default(),
+        )
+        .and_then(|mut plan| plan.run(&random_signal_q15(1024, 1)))
+        .expect("ASIP run");
         println!(
             "energy per 1024-point FFT (custom hardware, 300 MHz): {:.0} nJ ({} cycles)",
-            energy_per_transform_nj(&c, run.stats.cycles, 300.0),
-            run.stats.cycles
+            energy_per_transform_nj(&c, stats.cycles, 300.0),
+            stats.cycles
         );
     }
 

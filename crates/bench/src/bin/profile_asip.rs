@@ -5,14 +5,18 @@
 //! program, then folds the hot spots into phases (LDIN / BUT4 / STOUT /
 //! control).
 
-use afft_asip::runner::{AsipConfig, AsipPlan};
+use afft_asip::program::ProgramOptions;
+use afft_asip::runner::AsipPlan;
 use afft_bench::workload::random_signal_q15;
 use afft_core::Direction;
 use afft_sim::profile::profile_run;
+use afft_sim::MachineConfig;
 
 fn main() {
     let n = 1024usize;
-    let mut plan = AsipPlan::new(n, Direction::Forward, &AsipConfig::default()).expect("plan");
+    let mut plan =
+        AsipPlan::new(n, Direction::Forward, ProgramOptions::default(), &MachineConfig::default())
+            .expect("plan");
     plan.stage(&random_signal_q15(n, 1)).expect("stage input");
     let (stats, profile) = profile_run(plan.machine_mut(), 100_000_000).expect("profiled run");
 

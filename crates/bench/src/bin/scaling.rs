@@ -4,11 +4,25 @@
 //! bandwidth scaling), including the non-square sizes, plus the
 //! non-canonical split sweep on the golden model.
 
-use afft_asip::runner::{run_array_fft, AsipConfig};
+use afft_asip::program::ProgramOptions;
+use afft_asip::runner::AsipPlan;
 use afft_bench::row;
 use afft_bench::workload::{random_signal, random_signal_q15};
 use afft_core::reference::{dft_naive, max_error};
 use afft_core::{ArrayFft, Direction, Scaling, Split};
+use afft_sim::{MachineConfig, Stats};
+
+/// One forward ASIP run of `input` on the default machine.
+fn asip_stats(input: &[afft_num::CQ15]) -> Stats {
+    AsipPlan::new(
+        input.len(),
+        Direction::Forward,
+        ProgramOptions::default(),
+        &MachineConfig::default(),
+    )
+    .and_then(|mut plan| plan.run(input))
+    .expect("ASIP run")
+}
 
 fn main() {
     println!("Scalability sweep: one recompiled program per size (paper Section IV)");
@@ -32,8 +46,7 @@ fn main() {
     for n in [128usize, 256, 512, 1024, 2048, 4096] {
         let split = Split::for_size(n).expect("valid size");
         let input = random_signal_q15(n, n as u64);
-        let run =
-            run_array_fft(&input, Direction::Forward, &AsipConfig::default()).expect("ASIP run");
+        let stats = asip_stats(&input);
         println!(
             "{}",
             row(
@@ -41,10 +54,10 @@ fn main() {
                     n.to_string(),
                     split.p_size.to_string(),
                     split.q_size.to_string(),
-                    run.stats.cycles.to_string(),
-                    format!("{:.2}", run.stats.cpi()),
-                    format!("{:.1}", run.stats.throughput_mbps(n, 300.0)),
-                    format!("{:.2}", run.stats.cycles as f64 / 300.0),
+                    stats.cycles.to_string(),
+                    format!("{:.2}", stats.cpi()),
+                    format!("{:.1}", stats.throughput_mbps(n, 300.0)),
+                    format!("{:.2}", stats.cycles as f64 / 300.0),
                 ],
                 &widths
             )
@@ -65,14 +78,14 @@ fn main() {
     println!();
     println!("UWB requirement check (802.15.3a: FFT every OFDM symbol):");
     let input = random_signal_q15(128, 3);
-    let run = run_array_fft(&input, Direction::Forward, &AsipConfig::default()).expect("run");
+    let stats = asip_stats(&input);
     let symbol_ns = 312.5; // UWB OFDM symbol period in ns
-    let fft_us = run.stats.cycles as f64 / 300.0;
+    let fft_us = stats.cycles as f64 / 300.0;
     println!(
         "  128-point FFT in {:.2} us at 300 MHz ({} cycles); symbol period {:.4} us",
         fft_us,
-        run.stats.cycles,
+        stats.cycles,
         symbol_ns / 1000.0
     );
-    println!("  sample throughput: {:.1} Msamples/s", 128.0 * 300.0 / run.stats.cycles as f64);
+    println!("  sample throughput: {:.1} Msamples/s", 128.0 * 300.0 / stats.cycles as f64);
 }

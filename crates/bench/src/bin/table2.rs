@@ -11,7 +11,6 @@ use afft_bench::workload::random_signal;
 use afft_bench::{factor, row};
 use afft_core::engine::FftEngine;
 use afft_core::Direction;
-use afft_sim::Timing;
 
 struct Row {
     name: &'static str,
@@ -27,9 +26,7 @@ fn main() {
     println!();
 
     // Imple 1: standard software (soft-float) FFT on the base core.
-    let sw =
-        run_software_fft(&random_signal(n, 1), Direction::Forward, Timing::default(), 50_000_000)
-            .expect("software FFT run");
+    let sw = run_software_fft(&random_signal(n, 1), Direction::Forward).expect("software FFT run");
     // Imple 2: TI C6713 VLIW model.
     let ti_run = ti::run_ti_fft(n, &ti::TiConfig::default());
     // Imple 3: Xtensa FFT ASIP model.

@@ -19,7 +19,7 @@ pub struct Table1Row {
     /// Total cycle count.
     pub cycles: u64,
     /// Data throughput in Mbps (6 bit/sample at 300 MHz; see
-    /// EXPERIMENTS.md).
+    /// [`afft_sim::Stats::throughput_mbps`]).
     pub throughput_mbps: f64,
 }
 

@@ -89,7 +89,7 @@ pub struct Butterfly {
 /// of `2^(j-1)` consecutive butterflies shares one coefficient — the
 /// paper's rule "the address in Stage j starts from 0 and increases with
 /// a stride of `P/2^j` for every `P/2^j` steps" (their stage index runs
-/// opposite to ours: their `j` is our `p - j + 1`; see DESIGN.md §8).
+/// opposite to ours: their `j` is our `p - j + 1`).
 ///
 /// The closed form per counter `c`:
 ///

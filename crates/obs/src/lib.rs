@@ -1,11 +1,11 @@
 //! **afft-obs** — the workspace's zero-dependency observability layer:
 //! log-bucketed latency histograms, sharded lock-free recorders, stage
-//! timers, named counters, and table/JSON exporters. In the spirit of
+//! names, named counters, and table/JSON exporters. In the spirit of
 //! HdrHistogram and `tracing`, rebuilt std-only so the runtime stack
 //! (stream pipeline, planner, ISS engine, benches) can measure
 //! itself without pulling a dependency into the hot path.
 //!
-//! Four pieces:
+//! Five pieces:
 //!
 //! * [`Histogram`] — a log-bucketed (~2% relative error) `u64`
 //!   histogram with `record`/`merge`/`percentile` and saturation
@@ -13,9 +13,10 @@
 //! * [`Recorder`] / [`AtomicHistogram`] — per-shard concurrent
 //!   recording: the hot path is two relaxed atomic adds and an array
 //!   index, aggregation happens at [`Recorder::snapshot`];
-//! * [`Stage`] / [`StageTimer`] — the queue-wait / transform /
+//! * [`Stage`] / [`ns_between`] — the queue-wait / transform /
 //!   reorder-park / deliver decomposition of a streamed symbol's
-//!   latency, and the lap timer that carves it;
+//!   latency, and the saturating clock difference that measures it;
+//! * [`counter()`] / [`Counter`] — named process-global event counters;
 //! * exporters — [`Snapshot`] `Display` tables, [`histogram_json`],
 //!   and the dependency-free [`json`] writer (shared with the bench
 //!   artifacts — `afft_bench::json` re-exports it).
@@ -59,11 +60,11 @@ pub mod json;
 pub mod recorder;
 pub mod stage;
 
-pub use counter::{counter, counters_snapshot, Counter};
+pub use counter::{counter, Counter};
 pub use export::{fmt_ns, histogram_json, Snapshot};
 pub use hist::Histogram;
 pub use recorder::{AtomicHistogram, Recorder, RecorderHandle};
-pub use stage::{ns_between, Stage, StageTimer};
+pub use stage::{ns_between, Stage};
 
 /// Whether instrumentation is enabled for this process: the `AFFT_OBS`
 /// environment variable, default **on**. `0`, `false`, `off` (any

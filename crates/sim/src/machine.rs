@@ -121,9 +121,8 @@ impl Machine {
     }
 
     /// Points the pc back at the program's entry and clears the halt
-    /// flag; registers, memory, cache, FFT unit and statistics persist
-    /// (a warm rerun of the loaded program).
-    pub fn rewind(&mut self) {
+    /// flag; registers, memory, cache, FFT unit and statistics persist.
+    fn rewind(&mut self) {
         self.pc = 0;
         self.halted = false;
     }

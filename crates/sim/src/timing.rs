@@ -2,9 +2,11 @@
 //!
 //! All numbers are architectural parameters of the reproduction, chosen
 //! to sit in the regime the paper describes (single-issue in-order core,
-//! single-cycle custom units, multi-cycle multiplier, cache miss stall)
-//! and documented in EXPERIMENTS.md. There are no branch delay slots;
-//! instead a taken branch pays a refill penalty.
+//! single-cycle custom units, multi-cycle multiplier, cache miss stall).
+//! They are chosen, not derived from the paper's datapath; deriving
+//! them is pending ROADMAP item 4 (make the ISS agree with the paper's
+//! Tables I and II). There are no branch delay slots; instead a taken
+//! branch pays a refill penalty.
 
 /// Per-operation latencies in cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -30,7 +30,7 @@
 //!   graceful drain, an admin stats endpoint, and a loopback client;
 //! * [`obs`] ([`afft_obs`]) — the zero-dependency observability layer:
 //!   log-bucketed latency histograms, sharded lock-free recorders,
-//!   stage timers, named counters, and text/JSON exporters, wired
+//!   stage names, named counters, and text/JSON exporters, wired
 //!   through the stream, planner, and bench layers (global switch:
 //!   `AFFT_OBS`, default on);
 //! * [`baselines`] ([`afft_baselines`]) — the TI C6713 and Xtensa
@@ -50,11 +50,19 @@
 //! let spectrum = fft.process(&x, Direction::Forward)?;
 //! assert!((spectrum[0].re - 1024.0).abs() < 1e-6);
 //!
-//! // Cycle-accurate ASIP simulation of the same transform:
-//! use afft::asip::runner::{quantize_input, run_array_fft, AsipConfig};
-//! let input = quantize_input(&x, 0.5);
-//! let run = run_array_fft(&input, Direction::Forward, &AsipConfig::default())?;
-//! assert!(run.stats.cycles > 0);
+//! // Cycle-accurate ASIP simulation of the same transform: plan the
+//! // generated program on a machine once, then run it.
+//! use afft::asip::program::ProgramOptions;
+//! use afft::asip::runner::{quantize_input, AsipPlan};
+//! use afft::sim::MachineConfig;
+//! let mut plan =
+//!     AsipPlan::new(1024, Direction::Forward, ProgramOptions::default(), &MachineConfig::default())?;
+//! let stats = plan.run(&quantize_input(&x, 0.5))?;
+//! let mut hw_spectrum = vec![Complex::zero(); 1024];
+//! plan.read_output(&mut hw_spectrum)?;
+//! assert!(stats.cycles > 0);
+//! // The datapath scales by 1/N: the DC bin holds the input mean.
+//! assert!((hw_spectrum[0].re.to_f64() - 0.5).abs() < 0.01);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

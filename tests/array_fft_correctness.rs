@@ -4,12 +4,10 @@
 //! two, across sizes, directions and signal classes.
 
 use afft::asip::program::{ProgramOptions, UnrollStyle};
-use afft::asip::runner::{
-    golden_array_fft, quantize_input, run_array_fft, run_array_fft_with_machine_config, AsipConfig,
-};
+use afft::asip::runner::{golden_array_fft, quantize_input, AsipPlan};
 use afft::core::reference::{dft_naive, fft_radix2_dit_f64, max_error};
 use afft::core::{ArrayFft, Direction};
-use afft::num::{twiddle, Complex, C64};
+use afft::num::{twiddle, Complex, C64, CQ15};
 use afft::sim::{CacheStats, MachineConfig, Stats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,6 +15,26 @@ use rand::{Rng, SeedableRng};
 fn random_signal(n: usize, seed: u64) -> Vec<C64> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n).map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))).collect()
+}
+
+/// One ASIP transform of `input` on a fresh plan: the natural-order
+/// spectrum and the run's statistics.
+fn run_with(
+    input: &[CQ15],
+    dir: Direction,
+    options: ProgramOptions,
+    machine: &MachineConfig,
+) -> (Vec<CQ15>, Stats) {
+    let mut plan = AsipPlan::new(input.len(), dir, options, machine).expect("plan");
+    let stats = plan.run(input).expect("ASIP run");
+    let mut output = vec![Complex::zero(); input.len()];
+    plan.read_output(&mut output).expect("read output");
+    (output, stats)
+}
+
+/// [`run_with`] on the default program and machine.
+fn run_asip(input: &[CQ15], dir: Direction) -> (Vec<CQ15>, Stats) {
+    run_with(input, dir, ProgramOptions::default(), &MachineConfig::default())
 }
 
 #[test]
@@ -45,10 +63,9 @@ fn golden_model_matches_radix2_library() {
 fn iss_is_bit_exact_against_golden_for_every_paper_size() {
     for n in [64usize, 128, 256, 512, 1024] {
         let input = quantize_input(&random_signal(n, 100 + n as u64), 0.9);
-        let run =
-            run_array_fft(&input, Direction::Forward, &AsipConfig::default()).expect("ASIP run");
+        let (output, _) = run_asip(&input, Direction::Forward);
         let golden = golden_array_fft(&input, Direction::Forward).expect("golden");
-        assert_eq!(run.output, golden, "n={n}: ISS deviates from golden model");
+        assert_eq!(output, golden, "n={n}: ISS deviates from golden model");
     }
 }
 
@@ -56,10 +73,9 @@ fn iss_is_bit_exact_against_golden_for_every_paper_size() {
 fn iss_is_bit_exact_for_extension_sizes() {
     for n in [2048usize, 4096] {
         let input = quantize_input(&random_signal(n, 200 + n as u64), 0.9);
-        let run =
-            run_array_fft(&input, Direction::Forward, &AsipConfig::default()).expect("ASIP run");
+        let (output, _) = run_asip(&input, Direction::Forward);
         let golden = golden_array_fft(&input, Direction::Forward).expect("golden");
-        assert_eq!(run.output, golden, "n={n}");
+        assert_eq!(output, golden, "n={n}");
     }
 }
 
@@ -67,9 +83,9 @@ fn iss_is_bit_exact_for_extension_sizes() {
 fn iss_is_bit_exact_for_inverse_direction() {
     let n = 128;
     let input = quantize_input(&random_signal(n, 5), 0.9);
-    let run = run_array_fft(&input, Direction::Inverse, &AsipConfig::default()).expect("ASIP run");
+    let (output, _) = run_asip(&input, Direction::Inverse);
     let golden = golden_array_fft(&input, Direction::Inverse).expect("golden");
-    assert_eq!(run.output, golden);
+    assert_eq!(output, golden);
 }
 
 #[test]
@@ -98,10 +114,9 @@ fn pure_tones_hit_their_bins_on_the_simulated_hardware() {
     for tone in [1usize, 5, 31, 33, 63] {
         let x: Vec<C64> = (0..n).map(|m| twiddle(n, (tone * m) % n).conj() * 0.8).collect();
         let input = quantize_input(&x, 1.0);
-        let run =
-            run_array_fft(&input, Direction::Forward, &AsipConfig::default()).expect("ASIP run");
+        let (output, _) = run_asip(&input, Direction::Forward);
         // Hardware output is DFT/N: the tone bin should be ~0.8.
-        for (k, bin) in run.output.iter().enumerate() {
+        for (k, bin) in output.iter().enumerate() {
             let mag = bin.to_c64().abs();
             if k == tone {
                 assert!((mag - 0.8).abs() < 0.02, "tone {tone}: bin {k} mag {mag}");
@@ -117,11 +132,11 @@ fn forward_inverse_roundtrip_through_the_hardware() {
     let n = 256;
     let x = random_signal(n, 77);
     let input = quantize_input(&x, 0.9);
-    let fwd = run_array_fft(&input, Direction::Forward, &AsipConfig::default()).expect("fwd");
-    let inv = run_array_fft(&fwd.output, Direction::Inverse, &AsipConfig::default()).expect("inv");
+    let (fwd, _) = run_asip(&input, Direction::Forward);
+    let (inv, _) = run_asip(&fwd, Direction::Inverse);
     // forward scales 1/N, inverse scales 1/N, IDFT brings factor N:
     // recovered = input / N.
-    let got: Vec<C64> = inv.output.iter().map(|c| c.to_c64() * n as f64).collect();
+    let got: Vec<C64> = inv.iter().map(|c| c.to_c64() * n as f64).collect();
     let want: Vec<C64> = input.iter().map(|c| c.to_c64()).collect();
     assert!(max_error(&got, &want) < 0.05);
 }
@@ -132,12 +147,12 @@ fn linearity_on_the_hardware() {
     let a = quantize_input(&random_signal(n, 1), 0.4);
     let b = quantize_input(&random_signal(n, 2), 0.4);
     let sum: Vec<_> = a.iter().zip(&b).map(|(&x, &y)| x + y).collect();
-    let fa = run_array_fft(&a, Direction::Forward, &AsipConfig::default()).expect("a");
-    let fb = run_array_fft(&b, Direction::Forward, &AsipConfig::default()).expect("b");
-    let fs = run_array_fft(&sum, Direction::Forward, &AsipConfig::default()).expect("sum");
+    let (fa, _) = run_asip(&a, Direction::Forward);
+    let (fb, _) = run_asip(&b, Direction::Forward);
+    let (fs, _) = run_asip(&sum, Direction::Forward);
     for k in 0..n {
-        let lin = fa.output[k].to_c64() + fb.output[k].to_c64();
-        let got = fs.output[k].to_c64();
+        let lin = fa[k].to_c64() + fb[k].to_c64();
+        let got = fs[k].to_c64();
         assert!(got.dist(lin) < 5e-3, "bin {k}");
     }
 }
@@ -191,8 +206,8 @@ fn iss_stats_are_pinned_for_the_default_forward_run() {
             ..Stats::default()
         };
         let input = quantize_input(&random_signal(n, 300 + n as u64), 0.9);
-        let run = run_array_fft(&input, Direction::Forward, &AsipConfig::default()).expect("run");
-        assert_eq!(run.stats, want, "n={n}");
+        let (_, stats) = run_asip(&input, Direction::Forward);
+        assert_eq!(stats, want, "n={n}");
     }
 }
 
@@ -201,10 +216,7 @@ fn iss_stats_are_pinned_for_the_default_forward_run() {
 fn ablation_variants_are_pinned_at_1024() {
     let input = quantize_input(&random_signal(1024, 42), 0.9);
     let run = |options: ProgramOptions, machine: MachineConfig| {
-        let cfg = AsipConfig { options, ..AsipConfig::default() };
-        run_array_fft_with_machine_config(&input, Direction::Forward, &cfg, &machine)
-            .expect("ablation run")
-            .stats
+        run_with(&input, Direction::Forward, options, &machine).1
     };
     let cached = run(
         ProgramOptions::default(),

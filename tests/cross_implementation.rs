@@ -10,7 +10,6 @@ use afft::core::engine::FftEngine;
 use afft::core::reference::{dft_naive, max_error};
 use afft::core::Direction;
 use afft::num::{Complex, C64};
-use afft::sim::Timing;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -60,9 +59,7 @@ fn registry_carries_all_backends_at_1024() {
 #[test]
 fn performance_hierarchy_matches_the_paper() {
     let n = 1024;
-    let sw =
-        run_software_fft(&random_signal(n, 1), Direction::Forward, Timing::default(), 50_000_000)
-            .expect("sw");
+    let sw = run_software_fft(&random_signal(n, 1), Direction::Forward).expect("sw");
     let ti_run = ti::run_ti_fft(n, &ti::TiConfig::default());
     let xt = xtensa::run_xtensa_fft(n, &xtensa::XtensaConfig::default());
     let mut imple4 = AsipEngine::new(n).expect("plan");
@@ -75,7 +72,9 @@ fn performance_hierarchy_matches_the_paper() {
     assert!(xt.cycles > ours.cycles, "Xtensa slower than the array ASIP");
 
     // Factor bands (paper: 866.5X, 6.0X, 2.3X; we accept the same
-    // order of magnitude, see EXPERIMENTS.md).
+    // order of magnitude: the ISS runs 1.75x the paper's cycles at
+    // N = 1024 and the baselines are trace-driven models, so the exact
+    // factors are not expected).
     let f1 = sw.stats.cycles as f64 / ours.cycles as f64;
     let f2 = ti_run.cycles as f64 / ours.cycles as f64;
     let f3 = xt.cycles as f64 / ours.cycles as f64;

@@ -1,32 +1,38 @@
 //! End-to-end OFDM receiver test with the FFT running on the
 //! *simulated ASIP*: modulate with the golden model, pass through a
-//! multipath channel, demodulate on the cycle-accurate hardware,
-//! equalise, and demand zero bit errors.
+//! multipath channel, demodulate on the cycle-accurate hardware (one
+//! planned machine for every symbol), equalise, and demand zero bit
+//! errors.
 
-use afft::asip::pipeline::FftPipeline;
-use afft::asip::runner::quantize_input;
+use afft::asip::program::ProgramOptions;
+use afft::asip::runner::{quantize_input, AsipPlan};
 use afft::core::ofdm::{apply_fir_channel, qpsk_demap, qpsk_map, Ofdm};
-use afft::num::{Complex, C64};
-use afft::sim::Timing;
+use afft::core::Direction;
+use afft::num::{Complex, C64, CQ15};
+use afft::sim::MachineConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const N: usize = 128;
 const CP: usize = 32;
 
-fn asip_fft(pipeline: &mut FftPipeline, time: &[C64]) -> Vec<C64> {
+fn asip_fft(plan: &mut AsipPlan, spectrum: &mut [CQ15], time: &[C64]) -> Vec<C64> {
     // Scale into the Q15 range, run on the ASIP, undo the 1/N scaling.
     let amp = 0.5;
     let input = quantize_input(time, amp);
-    let (out, _cycles) = pipeline.process(&input).expect("ASIP symbol");
-    out.iter().map(|c| c.to_c64() * (N as f64 / amp)).collect()
+    assert!(plan.run(&input).expect("ASIP symbol").cycles > 0);
+    plan.read_output(spectrum).expect("read spectrum");
+    spectrum.iter().map(|c| c.to_c64() * (N as f64 / amp)).collect()
 }
 
 #[test]
 fn multipath_ofdm_link_through_the_simulated_hardware() {
     let mut rng = StdRng::seed_from_u64(42);
     let mut ofdm = Ofdm::new(N, CP).expect("ofdm plan");
-    let mut pipeline = FftPipeline::new(N, Timing::default()).expect("pipeline");
+    let mut plan =
+        AsipPlan::new(N, Direction::Forward, ProgramOptions::default(), &MachineConfig::default())
+            .expect("plan");
+    let mut spectrum = vec![Complex::zero(); N];
 
     // A 4-tap channel inside the cyclic prefix.
     let taps = vec![
@@ -41,7 +47,7 @@ fn multipath_ofdm_link_through_the_simulated_hardware() {
     let pilot = qpsk_map(&pilot_bits);
     let tx_pilot = ofdm.modulate(&pilot).expect("modulate pilot");
     let rx_pilot_time = apply_fir_channel(&tx_pilot, &taps);
-    let rx_pilot = asip_fft(&mut pipeline, &rx_pilot_time[CP..]);
+    let rx_pilot = asip_fft(&mut plan, &mut spectrum, &rx_pilot_time[CP..]);
     let channel: Vec<C64> =
         rx_pilot.iter().zip(&pilot).map(|(&y, &x)| y * x.conj() * (1.0 / x.norm_sqr())).collect();
 
@@ -52,7 +58,7 @@ fn multipath_ofdm_link_through_the_simulated_hardware() {
         let bits: Vec<(bool, bool)> = (0..N).map(|_| (rng.gen(), rng.gen())).collect();
         let tx = ofdm.modulate(&qpsk_map(&bits)).expect("modulate");
         let rx_time = apply_fir_channel(&tx, &taps);
-        let rx_bins = asip_fft(&mut pipeline, &rx_time[CP..]);
+        let rx_bins = asip_fft(&mut plan, &mut spectrum, &rx_time[CP..]);
         let eq = ofdm.equalize(&rx_bins, &channel);
         let decided = qpsk_demap(&eq);
         total_bits += 2 * N;
@@ -63,8 +69,4 @@ fn multipath_ofdm_link_through_the_simulated_hardware() {
             .sum::<usize>();
     }
     assert_eq!(errors, 0, "{errors}/{total_bits} bit errors through the simulated ASIP");
-
-    // The pipeline ran 5 symbols (pilot + 4 data) on one machine.
-    assert_eq!(pipeline.symbols(), 5);
-    assert!(pipeline.steady_state_cycles() > 0.0);
 }
